@@ -1,4 +1,4 @@
-//! Work-stealing vs static/cursor scheduling on the power-law hub graph.
+//! Range-stealing vs replayed static/cursor schedules on the power-law hub graph.
 
 fn main() {
     let quick = fingers_bench::quick_mode();

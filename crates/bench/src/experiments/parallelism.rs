@@ -134,14 +134,13 @@ fn render_json(cells: &[SoftwareCell]) -> String {
         out.push_str(&format!(
             "  {{\"dataset\": \"{}\", \"benchmark\": \"{}\", \"threads\": {}, \
              \"bitmap_hubs\": {}, \"count_fusion\": {}, \"simd\": {}, \
-             \"work_stealing\": {}, \"embeddings\": {}, \"wall_ms\": {:.3}}}{}\n",
+             \"embeddings\": {}, \"wall_ms\": {:.3}}}{}\n",
             json_escape(&c.dataset),
             json_escape(&c.benchmark),
             c.threads,
             c.bitmap_hubs,
             c.count_fusion,
             c.simd,
-            c.work_stealing,
             c.embeddings,
             c.wall_ms,
             if i + 1 == cells.len() { "" } else { "," }
@@ -174,7 +173,6 @@ mod tests {
                 bitmap_hubs: 0,
                 count_fusion: true,
                 simd: true,
-                work_stealing: true,
                 embeddings: 42,
                 wall_ms: 1.5,
             },
@@ -185,7 +183,6 @@ mod tests {
                 bitmap_hubs: 64,
                 count_fusion: false,
                 simd: false,
-                work_stealing: false,
                 embeddings: 42,
                 wall_ms: 0.9,
             },
@@ -199,7 +196,7 @@ mod tests {
         assert!(j.contains("\"count_fusion\": true"));
         assert!(j.contains("\"count_fusion\": false"));
         assert!(j.contains("\"simd\": true"));
-        assert!(j.contains("\"work_stealing\": false"));
+        assert!(j.contains("\"simd\": false"));
         assert!(j.contains("\"embeddings\": 42"));
         // Exactly one separating comma between the two objects.
         assert_eq!(j.matches("},").count(), 1);

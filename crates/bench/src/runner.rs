@@ -99,9 +99,6 @@ pub struct SoftwareCell {
     /// `EngineConfig::simd` toggle; actual vector execution additionally
     /// requires hardware support at run time).
     pub simd: bool,
-    /// Whether the work-stealing scheduler ran this cell (`false` = the
-    /// shared-cursor baseline).
-    pub work_stealing: bool,
     /// Total embeddings across the benchmark's patterns.
     pub embeddings: u64,
     /// Wall-clock time of the mining run, in milliseconds.
@@ -127,7 +124,6 @@ pub fn run_software_cell(
         bitmap_hubs: config.bitmap_hubs,
         count_fusion: config.fuse_terminal_counts,
         simd: config.simd,
-        work_stealing: config.work_stealing,
         embeddings: out.total(),
         wall_ms,
     }
@@ -225,19 +221,10 @@ mod tests {
         );
         assert_eq!(one.embeddings, unfused.embeddings, "fusion invariance");
         assert!(!unfused.count_fusion);
-        assert!(one.simd && one.work_stealing, "defaults tag both modes on");
+        assert!(one.simd, "defaults tag the simd tier on");
         let scalar = run_software_cell(&g, "er", Benchmark::Tc, 2, &EngineConfig::without_simd());
-        let cursor = run_software_cell(
-            &g,
-            "er",
-            Benchmark::Tc,
-            2,
-            &EngineConfig::without_stealing(),
-        );
         assert_eq!(one.embeddings, scalar.embeddings, "simd-toggle invariance");
-        assert_eq!(one.embeddings, cursor.embeddings, "steal-toggle invariance");
-        assert!(!scalar.simd && scalar.work_stealing);
-        assert!(cursor.simd && !cursor.work_stealing);
+        assert!(!scalar.simd);
         assert_eq!(one.dataset, "er");
         assert_eq!(one.benchmark, Benchmark::Tc.abbrev());
     }

@@ -97,9 +97,6 @@ pub struct Options {
     /// Let the adaptive dispatch pick the SIMD block-compare kernels
     /// (default on; `--no-simd` reinstates the scalar tiers).
     pub simd: bool,
-    /// Work-stealing task scheduling for parallel mining (default on;
-    /// `--no-steal` reinstates the shared-cursor baseline).
-    pub work_stealing: bool,
     /// Scratch-memory budget for the run, in bytes; exceeding it aborts
     /// with [`CliError::MemBudget`] (exit 11) and discards every partial
     /// count, same contract as cancellation.
@@ -219,7 +216,7 @@ usage: fingers-mine --graph <src> --pattern <spec> [--pattern <spec>…] [option
        fingers-mine serve --socket <path> --load <name>=<src> [--load …]
                     [--workers <n>] [--queue-depth <n>] [--max-threads <n>]
                     [--default-timeout-ms <n>] [--bitmap-hubs <k>] [--no-bitmap]
-                    [--no-simd] [--no-steal] [--mem-budget <bytes>]
+                    [--no-simd] [--mem-budget <bytes>]
                     [--query-mem-budget <bytes>]
        fingers-mine client --socket <path> [--retries <n>]
                     [--retry-base-ms <n>] [--retry-seed <n>] <request-json-line>
@@ -248,9 +245,6 @@ options:
   --no-simd            keep set operations on the scalar kernel tiers
                        (the SIMD tier also auto-disables on CPUs without
                        it); counts are identical either way
-  --no-steal           claim parallel tasks from a shared cursor instead
-                       of work-stealing deques; counts are identical
-                       either way
   --query-mem-budget <bytes>  abort the run (exit 11) if its scratch
                        memory exceeds this many bytes; the partial count
                        is discarded all-or-nothing, like a cancellation
@@ -319,7 +313,6 @@ impl Options {
         let mut bitmap_hubs = fingers_mining::config::DEFAULT_BITMAP_HUBS;
         let mut count_fusion = true;
         let mut simd = true;
-        let mut work_stealing = true;
         let mut query_mem_budget = None;
         let mut sanitize = false;
         let mut strict = false;
@@ -371,7 +364,6 @@ impl Options {
                 "--no-bitmap" => bitmap_hubs = 0,
                 "--no-count-fusion" => count_fusion = false,
                 "--no-simd" => simd = false,
-                "--no-steal" => work_stealing = false,
                 "--query-mem-budget" => {
                     query_mem_budget = Some(
                         value_for("--query-mem-budget")?
@@ -419,7 +411,6 @@ impl Options {
             bitmap_hubs,
             count_fusion,
             simd,
-            work_stealing,
             query_mem_budget,
             sanitize,
             strict,
@@ -462,9 +453,6 @@ pub struct ServeOptions {
     pub bitmap_hubs: usize,
     /// SIMD kernel tier for query execution (`--no-simd` disables).
     pub simd: bool,
-    /// Work-stealing task scheduling inside each query's thread budget
-    /// (`--no-steal` disables).
-    pub work_stealing: bool,
     /// Global scratch-memory budget, in bytes: the degradation ladder's
     /// pressure thresholds are percentages of this (`None` = ungoverned).
     pub mem_budget: Option<u64>,
@@ -585,7 +573,6 @@ fn parse_serve<I: Iterator<Item = String>>(mut it: I) -> Result<ServeOptions, Us
     let mut default_timeout_ms = None;
     let mut bitmap_hubs = fingers_mining::config::DEFAULT_BITMAP_HUBS;
     let mut simd = true;
-    let mut work_stealing = true;
     let mut mem_budget = None;
     let mut query_mem_budget = None;
     while let Some(arg) = it.next() {
@@ -636,7 +623,6 @@ fn parse_serve<I: Iterator<Item = String>>(mut it: I) -> Result<ServeOptions, Us
             }
             "--no-bitmap" => bitmap_hubs = 0,
             "--no-simd" => simd = false,
-            "--no-steal" => work_stealing = false,
             "--mem-budget" => {
                 mem_budget = Some(
                     value_for("--mem-budget")?
@@ -670,7 +656,6 @@ fn parse_serve<I: Iterator<Item = String>>(mut it: I) -> Result<ServeOptions, Us
         default_timeout_ms,
         bitmap_hubs,
         simd,
-        work_stealing,
         mem_budget,
         query_mem_budget,
     })
@@ -752,7 +737,6 @@ pub fn run_serve(options: &ServeOptions) -> Result<(), CliError> {
     let engine = EngineConfig {
         bitmap_hubs: options.bitmap_hubs,
         simd: options.simd,
-        work_stealing: options.work_stealing,
         query_mem_budget: options.query_mem_budget,
         ..EngineConfig::default()
     };
@@ -1038,7 +1022,6 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
                 bitmap_hubs: options.bitmap_hubs,
                 fuse_terminal_counts: options.count_fusion,
                 simd: options.simd,
-                work_stealing: options.work_stealing,
                 query_mem_budget: options.query_mem_budget,
                 ..EngineConfig::default()
             };
@@ -1061,16 +1044,11 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
                 ", count fusion off"
             };
             let simd = if config.simd { "" } else { ", simd off" };
-            let steal = if config.work_stealing {
-                ""
-            } else {
-                ", stealing off"
-            };
             RunOutcome {
                 counts: out.per_pattern,
                 cycles: None,
                 engine: format!(
-                    "software (plan-driven DFS, {} thread{}, {tier}{fusion}{simd}{steal})",
+                    "software (plan-driven DFS, {} thread{}, {tier}{fusion}{simd})",
                     options.threads,
                     if options.threads == 1 { "" } else { "s" }
                 ),
@@ -1250,13 +1228,11 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_steal_flags_parse_and_default_on() {
+    fn simd_flag_parses_and_defaults_on() {
         let o = Options::parse(args("--graph g --pattern tc")).expect("valid");
-        assert!(o.simd && o.work_stealing);
+        assert!(o.simd);
         let o = Options::parse(args("--graph g --pattern tc --no-simd")).expect("valid");
-        assert!(!o.simd && o.work_stealing);
-        let o = Options::parse(args("--graph g --pattern tc --no-steal")).expect("valid");
-        assert!(o.simd && !o.work_stealing);
+        assert!(!o.simd);
     }
 
     #[test]
@@ -1267,16 +1243,6 @@ mod tests {
         assert_eq!(on.counts, off.counts);
         assert!(!on.engine.contains("simd off"), "{}", on.engine);
         assert!(off.engine.contains("simd off"), "{}", off.engine);
-    }
-
-    #[test]
-    fn steal_toggle_does_not_change_counts() {
-        let base = "--graph gen:pl:120:700:4 --pattern tc --pattern 4cl --threads 4";
-        let on = run(&Options::parse(args(base)).unwrap()).unwrap();
-        let off = run(&Options::parse(args(&format!("{base} --no-steal"))).unwrap()).unwrap();
-        assert_eq!(on.counts, off.counts);
-        assert!(!on.engine.contains("stealing off"), "{}", on.engine);
-        assert!(off.engine.contains("stealing off"), "{}", off.engine);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   shimmed threads so exactly one runs at a time and branching the schedule
 //!   at every instrumented operation.
 //!
-//! The mining and server crates port their load-bearing structures (steal
-//! deques, `MemGauge`, `CancelToken`, the sched worker pool) onto [`sync`] and
+//! The mining and server crates port their load-bearing structures (the
+//! root-range pool, `MemGauge`, `CancelToken`, the sched worker pool) onto [`sync`] and
 //! ship model-checked harnesses in their own `model` modules; see DESIGN.md
 //! §16 for the architecture and for how to write a new harness.
 

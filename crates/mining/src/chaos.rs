@@ -8,7 +8,11 @@
 //! - [`ChaosSite::Alloc`]: fresh scratch/bitmap allocations (a simulated
 //!   allocation failure panics, which the engine's per-task isolation
 //!   converts into a typed [`crate::EngineError::WorkerPanic`]);
-//! - [`ChaosSite::WorkerPanic`]: an engine worker dying mid-task;
+//! - [`ChaosSite::WorkerPanic`]: an engine worker dying on a root. The
+//!   scheduler hands workers one root at a time, so the site draws once per
+//!   claimed root and the resulting `PartitionFailure.task` names that
+//!   single root; a single-worker run draws in ascending root order, which
+//!   is what makes its fault schedule reproducible;
 //! - [`ChaosSite::SchedWorker`]: a scheduler pool worker dying outside the
 //!   engine (exercises the supervisor's pool rebuild);
 //! - [`ChaosSite::SocketIo`]: a connection handler dropping a live socket
@@ -39,7 +43,7 @@ pub const CHAOS_PANIC_PREFIX: &str = "chaos:";
 pub enum ChaosSite {
     /// Fresh heap allocation in the scratch arena / bitmap cache.
     Alloc,
-    /// Engine mining worker, per claimed task.
+    /// Engine mining worker, per claimed root.
     WorkerPanic,
     /// Scheduler pool worker, per dequeued job.
     SchedWorker,
@@ -85,7 +89,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Permille of fresh allocations that fail.
     pub alloc_per_mille: u32,
-    /// Permille of engine tasks whose worker panics.
+    /// Permille of claimed roots whose worker panics.
     pub worker_panic_per_mille: u32,
     /// Permille of scheduled jobs whose pool worker panics.
     pub sched_worker_per_mille: u32,
@@ -270,59 +274,67 @@ mod tests {
     use super::*;
 
     /// All chaos unit tests share the process-global plan, so they run
-    /// under one lock (and restore the uninstalled state on exit).
+    /// under one lock (and restore the uninstalled state on exit). The
+    /// engine's unit tests run in this same process without that lock, so
+    /// plans here only arm the scheduler-worker and socket sites, which no
+    /// engine run draws from.
     fn with_plan<R>(plan: ChaosPlan, f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = lock();
         install(plan);
         let r = f();
         clear();
         r
     }
 
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn uninstalled_chaos_never_fires() {
-        clear();
+        let _guard = lock();
         assert!(!active());
         for _ in 0..100 {
-            assert!(!should_fail(ChaosSite::Alloc));
+            assert!(!should_fail(ChaosSite::SocketIo));
         }
     }
 
     #[test]
     fn decision_stream_is_seed_deterministic() {
         let plan = ChaosPlan {
-            worker_panic_per_mille: 250,
+            sched_worker_per_mille: 250,
             ..ChaosPlan::quiet(42)
         };
         let first: Vec<bool> = with_plan(plan, || {
             (0..200)
-                .map(|_| should_fail(ChaosSite::WorkerPanic))
+                .map(|_| should_fail(ChaosSite::SchedWorker))
                 .collect()
         });
         let second: Vec<bool> = with_plan(plan, || {
             (0..200)
-                .map(|_| should_fail(ChaosSite::WorkerPanic))
+                .map(|_| should_fail(ChaosSite::SchedWorker))
                 .collect()
         });
         assert_eq!(first, second);
         let hits = first.iter().filter(|h| **h).count();
         assert!(hits > 10 && hits < 100, "250‰ over 200 draws hit {hits}×");
-        assert_eq!(with_plan(plan, || injected(ChaosSite::WorkerPanic)), 0);
+        assert_eq!(with_plan(plan, || injected(ChaosSite::SchedWorker)), 0);
     }
 
     #[test]
     fn sites_draw_independent_streams() {
         let plan = ChaosPlan {
-            alloc_per_mille: 500,
+            sched_worker_per_mille: 500,
             socket_io_per_mille: 500,
             ..ChaosPlan::quiet(7)
         };
         let (a, s): (Vec<bool>, Vec<bool>) = with_plan(plan, || {
             (
-                (0..64).map(|_| should_fail(ChaosSite::Alloc)).collect(),
+                (0..64)
+                    .map(|_| should_fail(ChaosSite::SchedWorker))
+                    .collect(),
                 (0..64).map(|_| should_fail(ChaosSite::SocketIo)).collect(),
             )
         });
@@ -332,11 +344,11 @@ mod tests {
     #[test]
     fn injected_panics_carry_the_marker() {
         let plan = ChaosPlan {
-            worker_panic_per_mille: 1000,
+            sched_worker_per_mille: 1000,
             ..ChaosPlan::quiet(1)
         };
         let message = with_plan(plan, || {
-            let payload = std::panic::catch_unwind(maybe_panic_worker)
+            let payload = std::panic::catch_unwind(maybe_panic_sched_worker)
                 .expect_err("1000‰ must fire on every draw");
             crate::error::panic_message(payload)
         });
@@ -347,14 +359,14 @@ mod tests {
     #[test]
     fn per_site_cap_bounds_injections() {
         let plan = ChaosPlan {
-            alloc_per_mille: 1000,
+            socket_io_per_mille: 1000,
             max_per_site: 3,
             ..ChaosPlan::quiet(9)
         };
         with_plan(plan, || {
-            let hits = (0..50).filter(|_| should_fail(ChaosSite::Alloc)).count();
+            let hits = (0..50).filter(|_| should_fail(ChaosSite::SocketIo)).count();
             assert_eq!(hits, 3, "cap must stop a 1000‰ site after 3 faults");
-            assert_eq!(injected(ChaosSite::Alloc), 3);
+            assert_eq!(injected(ChaosSite::SocketIo), 3);
         });
     }
 

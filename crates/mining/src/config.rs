@@ -49,12 +49,6 @@ pub struct EngineConfig {
     /// scalar tiers. Off reinstates the three-tier baseline (CLI
     /// `--no-simd`).
     pub simd: bool,
-    /// Let parallel workers steal root-range tasks from each other's
-    /// deques instead of claiming from the shared cursor. Counts are
-    /// bit-identical either way (the reduction is an order-independent
-    /// `u64` sum); off reinstates the shared-cursor baseline (CLI
-    /// `--no-steal`).
-    pub work_stealing: bool,
     /// Per-query scratch-memory budget in bytes (`None` = unlimited). When
     /// a query's combined metered footprint — scratch arenas, bitmap
     /// caches, and listing sinks across all its workers — crosses the
@@ -74,7 +68,6 @@ impl Default for EngineConfig {
             bitmap_cache_slots: DEFAULT_BITMAP_CACHE_SLOTS,
             fuse_terminal_counts: true,
             simd: true,
-            work_stealing: true,
             query_mem_budget: None,
         }
     }
@@ -102,14 +95,6 @@ impl EngineConfig {
     pub fn without_simd() -> Self {
         Self {
             simd: false,
-            ..Self::default()
-        }
-    }
-
-    /// The shared-cursor baseline: work stealing disabled.
-    pub fn without_stealing() -> Self {
-        Self {
-            work_stealing: false,
             ..Self::default()
         }
     }
@@ -175,16 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn default_enables_simd_and_stealing() {
-        let c = EngineConfig::default();
-        assert!(c.simd);
-        assert!(c.work_stealing);
+    fn default_enables_simd() {
+        assert!(EngineConfig::default().simd);
         let no_simd = EngineConfig::without_simd();
         assert!(!no_simd.simd);
-        assert!(no_simd.work_stealing, "simd toggle must not touch stealing");
-        let no_steal = EngineConfig::without_stealing();
-        assert!(!no_steal.work_stealing);
-        assert!(no_steal.simd, "steal toggle must not touch simd");
+        assert!(
+            no_simd.bitmap_enabled(),
+            "simd toggle must not touch bitmap"
+        );
     }
 
     #[test]

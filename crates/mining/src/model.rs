@@ -1,13 +1,15 @@
 //! Model-checked harnesses for the mining crate's concurrency protocols.
 //!
-//! Each harness runs the *real* production types — [`StealPool`],
+//! Each harness runs the *real* production types — [`RangePool`],
 //! [`CancelToken`], [`MemGauge`]/[`GaugeScope`] — under the
 //! [`fingers_conc::model`] bounded schedule explorer and asserts an invariant
 //! that must hold in **every** interleaving within the preemption bound:
 //!
-//! 1. **Deque partition** — tasks claimed from a [`StealPool`] (including
-//!    through the steal-and-split path) always partition the seeded root
-//!    range: every root mined exactly once, none lost, none duplicated.
+//! 1. **Range partition** — roots claimed from a [`RangePool`] (own-range
+//!    claims, steals and refills interleaved at will) always partition the
+//!    seeded root range: every root mined exactly once, none lost, none
+//!    duplicated — including the boundary root an owner claim and a steal
+//!    of the same range contend for.
 //! 2. **Cancel all-or-nothing** — replicating the worker protocol of
 //!    `parallel::try_count_plan_parallel_governed`: if no worker observed
 //!    the token cancelled, the summed result covers every root.
@@ -15,9 +17,10 @@
 //!    parent/child gauge chain always drain both gauges back to baseline,
 //!    and the recorded peak stays within the outstanding-publish envelope.
 //!
-//! A fourth harness drives the intentionally broken
-//! [`StealPool::claim_racy`] and must *catch* its TOCTOU bug — evidence the
-//! checker has teeth. The server crate hosts the phoenix-rebuild harness.
+//! A further harness drives the intentionally broken
+//! [`RangePool::claim_with_torn_steal`] and must *catch* its lost update —
+//! evidence the checker has teeth. The server crate hosts the
+//! phoenix-rebuild harness.
 //!
 //! Keep harnesses tiny: state-space size is exponential in schedule points.
 //! The shapes below exhaust in well under a second each in release mode;
@@ -27,94 +30,76 @@
 
 use crate::cancel::CancelToken;
 use crate::gauge::{GaugeScope, MemGauge};
-use crate::parallel::StealPool;
+use crate::parallel::RangePool;
 use crate::task::MiningTask;
 use fingers_conc::model::{check, CheckOptions, CheckReport};
 use fingers_conc::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Roots seeded into the deque harnesses (kept tiny on purpose).
-const DEQUE_ROOTS: usize = 4;
+/// Roots seeded into the range harnesses (kept tiny on purpose).
+const POOL_ROOTS: usize = 4;
 
-/// Collect every root of every task `me` can claim, via `claim`.
-fn drain_pool(pool: &StealPool, me: usize) -> Vec<u32> {
-    let mut mined = Vec::new();
-    while let Some(t) = pool.claim(me) {
-        mined.extend(t.roots());
-    }
-    mined
-}
-
-/// Invariant 1: claimed tasks partition the seeded roots, two workers
-/// racing over striped deques (covers local pop and whole-task steal).
-pub fn deque_partition_check(opts: CheckOptions) -> CheckReport {
-    check("deque-partition", opts, |sim| {
-        let tasks = MiningTask::partition(DEQUE_ROOTS, 3);
-        let pool = Arc::new(StealPool::new(&tasks, 2));
-        let workers: Vec<_> = (0..2)
-            .map(|me| {
-                let pool = Arc::clone(&pool);
-                sim.spawn(move || drain_pool(&pool, me))
-            })
-            .collect();
-        let mut mined: Vec<u32> = workers.into_iter().flat_map(|w| w.join()).collect();
-        mined.sort_unstable();
-        let expected: Vec<u32> = (0..DEQUE_ROOTS as u32).collect();
-        assert_eq!(mined, expected, "claimed roots must partition the range");
-    })
-}
-
-/// Invariant 1, split path: one worker owns a lone splittable task, the
-/// other must go through `steal_from`'s `split_off_half` arm. The partition
-/// must survive a steal-split racing the owner's own pop.
-pub fn deque_split_check(opts: CheckOptions) -> CheckReport {
-    check("deque-split", opts, |sim| {
-        let tasks = vec![MiningTask {
-            start: 0,
-            end: DEQUE_ROOTS as u32,
-        }];
-        let pool = Arc::new(StealPool::new(&tasks, 2));
-        let workers: Vec<_> = (0..2)
-            .map(|me| {
-                let pool = Arc::clone(&pool);
-                sim.spawn(move || drain_pool(&pool, me))
-            })
-            .collect();
-        let mut mined: Vec<u32> = workers.into_iter().flat_map(|w| w.join()).collect();
-        mined.sort_unstable();
-        let expected: Vec<u32> = (0..DEQUE_ROOTS as u32).collect();
-        assert_eq!(mined, expected, "split steal must preserve the partition");
-    })
-}
-
-/// Seeded-bug fixture: the same partition invariant over
-/// [`StealPool::claim_racy`], which drops the deque lock between peek and
-/// pop. The checker must find the schedule where a thief splits the peeked
-/// task inside the window, double-mining its upper half.
-pub fn deque_racy_check(opts: CheckOptions) -> CheckReport {
-    check("deque-racy", opts, |sim| {
-        let tasks = vec![MiningTask {
-            start: 0,
-            end: DEQUE_ROOTS as u32,
-        }];
-        let pool = Arc::new(StealPool::new(&tasks, 2));
-        let workers: Vec<_> = (0..2)
+/// `workers` model threads each claim through `claim` until a fresh pool of
+/// `roots` roots reads empty; asserts the claimed roots are exactly
+/// `0..roots`, each once.
+fn assert_claims_partition(
+    name: &'static str,
+    opts: CheckOptions,
+    roots: usize,
+    workers: usize,
+    claim: fn(&RangePool, usize) -> Option<MiningTask>,
+) -> CheckReport {
+    check(name, opts, move |sim| {
+        let pool = Arc::new(RangePool::new(roots, workers));
+        let handles: Vec<_> = (0..workers)
             .map(|me| {
                 let pool = Arc::clone(&pool);
                 sim.spawn(move || {
                     let mut mined = Vec::new();
-                    while let Some(t) = pool.claim_racy(me) {
+                    while let Some(t) = claim(&pool, me) {
                         mined.extend(t.roots());
                     }
                     mined
                 })
             })
             .collect();
-        let mut mined: Vec<u32> = workers.into_iter().flat_map(|w| w.join()).collect();
+        let mut mined: Vec<u32> = handles.into_iter().flat_map(|w| w.join()).collect();
         mined.sort_unstable();
-        let expected: Vec<u32> = (0..DEQUE_ROOTS as u32).collect();
-        assert_eq!(mined, expected, "racy claim must break the partition");
+        let expected: Vec<u32> = (0..roots as u32).collect();
+        assert_eq!(mined, expected, "claimed roots must partition the range");
     })
+}
+
+/// Invariant 1: two workers draining a four-root pool (two roots each, so
+/// own claims, steals of two- and one-root ranges, refills and empty scans
+/// all interleave) claim every root exactly once. Two workers, not three:
+/// every worker ends on a scan of all the others, and a third multiplies
+/// the bounded space past what exhausts in the per-harness time limit.
+pub fn range_partition_check(opts: CheckOptions) -> CheckReport {
+    assert_claims_partition("range-partition", opts, POOL_ROOTS, 2, RangePool::claim)
+}
+
+/// Invariant 1, boundary root: worker 0 owns `[0, 2)`, worker 1 `[2, 3)`.
+/// Once worker 1 has claimed its own root, its steal races worker 0's
+/// claims for the same word: root 1 is the last root the owner would reach
+/// and the first the thief would cut off, and whichever update lands first
+/// must get it — alone.
+pub fn range_boundary_check(opts: CheckOptions) -> CheckReport {
+    assert_claims_partition("range-boundary", opts, 3, 2, RangePool::claim)
+}
+
+/// Seeded-bug fixture: the partition invariant over
+/// [`RangePool::claim_with_torn_steal`], whose steal loads then stores the
+/// victim's word. The checker must find the schedule where the owner's
+/// claim lands between the two and its root is handed out twice.
+pub fn range_torn_steal_check(opts: CheckOptions) -> CheckReport {
+    assert_claims_partition(
+        "range-torn-steal",
+        opts,
+        POOL_ROOTS,
+        2,
+        RangePool::claim_with_torn_steal,
+    )
 }
 
 /// Invariant 2: the cancel protocol of the governed parallel engine. A
@@ -126,12 +111,11 @@ pub fn deque_racy_check(opts: CheckOptions) -> CheckReport {
 /// never observed the cancel, its result must cover every root (an observed
 /// cancel makes the engine discard everything, so partial sums never leak).
 /// One worker keeps the space small; the multi-worker claim protocol is
-/// exhausted separately by the deque harnesses.
+/// exhausted separately by the range harnesses.
 pub fn cancel_all_or_nothing_check(opts: CheckOptions) -> CheckReport {
     check("cancel-all-or-nothing", opts, |sim| {
         let roots = 2u32;
-        let tasks = MiningTask::partition(roots as usize, 2);
-        let pool = Arc::new(StealPool::new(&tasks, 1));
+        let pool = Arc::new(RangePool::new(roots as usize, 1));
         let token = CancelToken::new();
         let interrupted = Arc::new(AtomicBool::new(false));
         let worker = {

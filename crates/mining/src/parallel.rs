@@ -1,27 +1,19 @@
 //! Root-partitioned parallel mining over [`PlanMiner`] workers.
 //!
-//! Level-0 DFS trees are independent, so the vertex range is split into
-//! more [`MiningTask`]s than workers and workers obtain tasks dynamically
-//! (a task holding a hub vertex does not serialize the run). Two
-//! schedulers implement that claim step:
-//!
-//! - **Work stealing** (`EngineConfig::work_stealing`, the default): each
-//!   worker owns a mutex-guarded deque seeded with a round-robin stripe of
-//!   tasks. Workers pop locally from the front; an empty worker steals the
-//!   back half of a victim's deque, and splits a victim's lone oversized
-//!   task at root granularity ([`MiningTask::split_off_half`]) when there
-//!   is nothing whole left to take. Local pops touch an uncontended mutex,
-//!   and a straggler grinding a hub-heavy range sheds its queued tail to
-//!   idle peers.
-//! - **Shared cursor** (`--no-steal`): every worker claims the next task
-//!   index from one shared atomic — the PR-2 baseline, kept as the
-//!   `steal_balance` benchmark's comparison point.
+//! Level-0 DFS trees are independent, so the unit of scheduling is one
+//! root. Workers obtain roots from a [`RangePool`]: each worker owns a
+//! half-open range of unstarted roots packed into one atomic word, claims
+//! one root at a time from its front, and an idle worker steals the upper
+//! half of a victim's range. A worker therefore holds exactly one root
+//! privately; everything not yet started stays stealable, so a hub-heavy
+//! id region cannot serialize the run behind the worker that was seeded
+//! with it (DESIGN.md §14.2).
 //!
 //! Each worker owns one [`PlanMiner`] (and therefore one scratch arena)
 //! for its whole lifetime, and reduces into a private `u64`. The final
-//! reduction is a sum of per-task partial counts: each task's count is a
-//! pure function of its root range, and addition over `u64` is commutative
-//! and associative, so the result is **bit-identical** to the sequential
+//! reduction is a sum of per-root partial counts: each root's count is a
+//! pure function of the root, and addition over `u64` is commutative and
+//! associative, so the result is **bit-identical** to the sequential
 //! count regardless of thread count or steal schedule — the determinism
 //! tests assert exactly this (DESIGN.md §14).
 
@@ -32,181 +24,138 @@ use crate::executor::{count_plan_with, MineOutcome, PlanMiner, RunHalt};
 use crate::gauge::MemGauge;
 use crate::sink::{CountSink, Sink};
 use crate::task::MiningTask;
-use fingers_conc::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use fingers_conc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fingers_conc::sync::{Mutex, PoisonError};
 use fingers_graph::hubs::HubSet;
-use fingers_graph::CsrGraph;
+use fingers_graph::{CsrGraph, VertexId};
 use fingers_pattern::benchmarks::Benchmark;
 use fingers_pattern::{ExecutionPlan, MultiPlan};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-// lint: lock-order(deque < failures)
+// lint: lock-order(failures)
 
-/// Tasks created per worker: oversubscription for dynamic load balance.
-/// Generous because tasks are two integers — the cost of a fine partition
-/// is one mutex lock (stealing) or one fetch-add (cursor) per task, while
-/// a coarse one leaves a hub-heavy chunk indivisible once a worker starts
-/// it (in-flight tasks are never split).
-const TASKS_PER_WORKER: usize = 32;
+/// One worker's unstarted roots `[next, end)`, packed `next << 32 | end`
+/// (`VertexId` is `u32`) so a claim or a steal is a single atomic update
+/// of the whole range. Cache-line aligned: the owner updates its word once
+/// per root, and neighbouring words must not bounce with it.
+#[repr(align(64))]
+struct RootRange(AtomicU64);
 
-/// Per-worker deques of unstarted tasks for the work-stealing scheduler.
+fn pack(next: VertexId, end: VertexId) -> u64 {
+    (u64::from(next) << 32) | u64::from(end)
+}
+
+fn unpack(word: u64) -> (VertexId, VertexId) {
+    ((word >> 32) as VertexId, word as VertexId)
+}
+
+/// Range word `word` with its upper half ⌈remaining/2⌉ cut off, and that
+/// half as `(first root, end)`; `None` when the range is empty.
+fn cut_upper_half(word: u64) -> Option<(u64, (VertexId, VertexId))> {
+    let (next, end) = unpack(word);
+    if next >= end {
+        return None;
+    }
+    let mid = end - (end - next).div_ceil(2);
+    Some((pack(next, mid), (mid, end)))
+}
+
+impl RootRange {
+    /// Compare-and-swap loop replacing the word `w` by `f(w)`; returns the
+    /// replaced word, or `None` (nothing written) once `f` declines.
+    fn update(&self, f: impl FnMut(u64) -> Option<u64>) -> Option<u64> {
+        // ord: acqrel+acquire(the word is the whole range: acqrel orders a claim or steal against every other update of the same word, a declined update only reads)
+        self.0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, f)
+            .ok()
+    }
+}
+
+/// The range-stealing root scheduler: one [`RootRange`] per worker, seeded
+/// with the contiguous blocks of `MiningTask::partition(n, workers)`.
 ///
-/// The deques only ever hold tasks no worker has begun, so stealing or
-/// splitting one can never duplicate or drop roots: at every instant the
-/// queued tasks plus the in-flight tasks partition the unmined remainder
-/// of `[0, |V|)`. Mutex-guarded rather than lock-free Chase–Lev: the claim
-/// rate is one lock per *task* (thousands of DFS roots), so even a
-/// contended lock costs noise, and a mutex keeps the scheduler trivially
-/// race-free.
-pub struct StealPool {
-    deques: Vec<Mutex<VecDeque<MiningTask>>>,
+/// Invariant: at every instant the ranges plus the single roots workers
+/// hold privately partition the unmined remainder of `[0, |V|)`. A range
+/// only ever *loses* roots to other parties — its front root to the owner,
+/// its upper half to a thief — each by one compare-and-swap of the whole
+/// word, so no root is handed out twice or dropped; the owner alone
+/// refills its range, and only while it is empty (thieves never write an
+/// empty range), so that plain store races with nothing. ABA cannot occur:
+/// the word is the entire state (no pointer, no side data), and a
+/// non-empty value `(next, end)` never recurs — claims and steals only
+/// shrink a range, so the value could only come back through a refill,
+/// which needs the range to have emptied, i.e. root `next` to have left
+/// it, and a root that left is in flight or mined and never queued again.
+pub struct RangePool {
+    ranges: Vec<RootRange>,
 }
 
-impl StealPool {
-    /// Distributes `tasks` across `workers` deques round-robin (task `i`
-    /// to worker `i % workers`), preserving ascending root order inside
-    /// each deque. Round-robin rather than contiguous blocks: real graphs
-    /// sort hubs into one id region (CSR relabeling, crawl order), and a
-    /// block seed would hand that entire region to one owner who then eats
-    /// its heavy tasks serially — thieves only relieve the queued tail.
-    /// Striping spreads the hot region across every deque up front, so
-    /// stealing only has to correct residual skew.
-    pub fn new(tasks: &[MiningTask], workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut deques: Vec<Mutex<VecDeque<MiningTask>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, t) in tasks.iter().enumerate() {
-            deques[i % workers]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(t.clone());
-        }
-        Self { deques }
+impl RangePool {
+    /// A pool over roots `[0, vertex_count)` for `workers` workers (at
+    /// least one); workers beyond the root count start empty.
+    pub fn new(vertex_count: usize, workers: usize) -> Self {
+        let mut ranges: Vec<RootRange> = MiningTask::partition(vertex_count, workers)
+            .iter()
+            .map(|t| RootRange(AtomicU64::new(pack(t.start, t.end))))
+            .collect();
+        ranges.resize_with(workers.max(1), || RootRange(AtomicU64::new(0)));
+        Self { ranges }
     }
 
-    /// The next task for worker `me`: its own deque's front, else stolen
-    /// work. Returns `None` only when every deque is empty at scan time —
-    /// tasks still in flight on other workers are never visible here, so a
-    /// `None` is final for this worker (peers only ever *remove* queued
-    /// work; splits happen under the victim's lock during the scan).
+    /// The next root for worker `me`, as a one-root task: the front of its
+    /// own range, else the first root of the upper half of the first
+    /// non-empty victim's range, the rest of which becomes `me`'s range.
+    /// Returns `None` only when every range is empty at scan time; roots
+    /// in flight on other workers are never visible here and no range
+    /// regains a root that left the pool, so a `None` is final.
     pub fn claim(&self, me: usize) -> Option<MiningTask> {
-        // lock: deque
-        if let Some(t) = self.deques[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(t);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            if let Some(stolen) = self.steal_from((me + off) % n) {
-                // lock: deque
-                let mut mine = self.deques[me]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                mine.extend(stolen);
-                let t = mine.pop_front();
-                drop(mine);
-                if t.is_some() {
-                    return t;
-                }
-            }
-        }
-        None
+        self.claim_stealing_by(me, |victim| {
+            let was = victim.update(|w| Some(cut_upper_half(w)?.0))?;
+            Some(cut_upper_half(was)?.1)
+        })
     }
 
-    /// Takes the back half of `victim`'s queued tasks (its furthest-future
-    /// root ranges, so the victim keeps the work nearest what it is mining
-    /// now). A victim down to one splittable task gets it halved at root
-    /// granularity instead; a lone unsplittable task is taken whole.
-    // lock: acquires(deque)
-    fn steal_from(&self, victim: usize) -> Option<VecDeque<MiningTask>> {
-        // lock: deque
-        let mut v = self.deques[victim]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match v.len() {
-            0 => None,
-            1 => {
-                // §11: len() == 1 was just checked under this lock.
-                #[allow(clippy::expect_used)]
-                let last = v.front_mut().expect("deque has one task");
-                match last.split_off_half() {
-                    Some(upper) => Some(VecDeque::from([upper])),
-                    None => v.pop_front().map(|t| VecDeque::from([t])),
-                }
-            }
-            len => Some(v.split_off(len - len / 2)),
-        }
+    fn claim_stealing_by(
+        &self,
+        me: usize,
+        steal: impl Fn(&RootRange) -> Option<(VertexId, VertexId)>,
+    ) -> Option<MiningTask> {
+        let own = self.ranges[me].update(|w| {
+            let (next, end) = unpack(w);
+            (next < end).then(|| pack(next + 1, end))
+        });
+        let n = self.ranges.len();
+        let root = own.map(|w| unpack(w).0).or_else(|| {
+            let (root, end) = (1..n).find_map(|off| steal(&self.ranges[(me + off) % n]))?;
+            // ord: release(only the owner writes its own empty range, see the type's invariant; pairs with the thieves' acquire)
+            self.ranges[me]
+                .0
+                .store(pack(root + 1, end), Ordering::Release);
+            Some(root)
+        })?;
+        Some(MiningTask {
+            start: root,
+            end: root + 1,
+        })
     }
 
-    /// Seeded-bug fixture for the model checker: a deliberately broken
-    /// `claim` that peeks the front task under one lock acquisition and pops
-    /// it under a *second* one, releasing the deque lock in between. A thief
-    /// that splits the peeked task in the window makes this worker mine the
-    /// stale full-range clone while the thief mines the stolen half — the
-    /// exact lost-update/double-mine family of bug the deque harness exists
-    /// to catch. Never called by production code.
+    /// Seeded-bug fixture for the model checker: [`RangePool::claim`] with
+    /// a steal that loads the victim's word and stores the cut range back
+    /// instead of compare-and-swapping it. An owner claim landing between
+    /// the two is overwritten, so its root is handed out a second time —
+    /// the lost-update the range harnesses exist to catch. Never called by
+    /// production code.
     #[cfg(feature = "model-check")]
-    pub fn claim_racy(&self, me: usize) -> Option<MiningTask> {
-        // lock: deque
-        let peeked = self.deques[me]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .front()
-            .cloned();
-        if let Some(t) = peeked {
-            // BUG (intentional): the lock was dropped after the peek, so the
-            // pop below may remove a task a thief has since split or taken.
-            // lock: deque
-            self.deques[me]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front();
-            return Some(t);
-        }
-        // Fall back to the correct steal path once the own deque is empty.
-        self.claim(me)
-    }
-}
-
-/// How a worker obtains its next task: the work-stealing deques or the
-/// shared-cursor baseline. Both hand every task out exactly once, so the
-/// summed counts are identical — only the schedule (and therefore load
-/// balance) differs.
-enum TaskSource<'t> {
-    Cursor {
-        tasks: &'t [MiningTask],
-        cursor: AtomicUsize,
-    },
-    Steal(StealPool),
-}
-
-impl<'t> TaskSource<'t> {
-    /// A source over `tasks` for `workers` workers, stealing iff `steal`.
-    fn new(tasks: &'t [MiningTask], workers: usize, steal: bool) -> Self {
-        if steal {
-            TaskSource::Steal(StealPool::new(tasks, workers))
-        } else {
-            TaskSource::Cursor {
-                tasks,
-                cursor: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    /// Claims the next task for worker `me` (`None` = no work left).
-    fn claim(&self, me: usize) -> Option<MiningTask> {
-        match self {
-            TaskSource::Cursor { tasks, cursor } => {
-                // ord: relaxed(pure ticket counter; the claimed task data is read-only shared)
-                tasks.get(cursor.fetch_add(1, Ordering::Relaxed)).cloned()
-            }
-            TaskSource::Steal(pool) => pool.claim(me),
-        }
+    pub fn claim_with_torn_steal(&self, me: usize) -> Option<MiningTask> {
+        self.claim_stealing_by(me, |victim| {
+            // ord: acquire(fixture: reads the word the store below clobbers)
+            let (rest, half) = cut_upper_half(victim.0.load(Ordering::Acquire))?;
+            // BUG (intentional): not a CAS, the word may have moved since the load.
+            // ord: release(fixture: mirrors the ordering of a real range write)
+            victim.0.store(rest, Ordering::Release);
+            Some(half)
+        })
     }
 }
 
@@ -243,17 +192,16 @@ pub fn count_plan_parallel_with(
         return count_plan_with(graph, plan, config);
     }
     let hubs = config.hub_set(graph);
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
+    let pool = RangePool::new(graph.vertex_count(), threads);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|me| {
-                let source = &source;
+                let pool = &pool;
                 let hubs = hubs.clone();
                 scope.spawn(move || {
                     let mut miner = PlanMiner::with_hubs(graph, plan, hubs, config);
                     let mut sink = CountSink::default();
-                    while let Some(task) = source.claim(me) {
+                    while let Some(task) = pool.claim(me) {
                         miner.run(task, &mut sink);
                     }
                     sink.count
@@ -273,17 +221,18 @@ pub fn count_plan_parallel_with(
 }
 
 /// [`count_plan_parallel_with`] plus a schedule trace: returns the count
-/// and, per worker, the tasks that worker actually executed, in execution
-/// order (tasks split by a thief appear as their split ranges).
+/// and, per worker, the root ranges that worker actually mined, in
+/// execution order.
 ///
-/// Bench support for the `steal_balance` experiment: replaying each
-/// worker's task list serially — uncontended — measures the schedule's
-/// critical path, which is what the wall clock would show on a machine
-/// with at least `threads` idle cores (a contended or single-core host
-/// inflates every concurrent measurement uniformly, hiding exactly the
-/// imbalance the experiment exists to show). The count is bit-identical
-/// to [`count_plan_parallel_with`]; the trace's tasks partition
-/// `[0, |V|)` for every scheduler and thread count.
+/// Workers claim one root at a time; the trace coalesces a worker's
+/// consecutive adjacent claims into one [`MiningTask`] range, so a worker
+/// that was never stolen from and never stole reports a single task and
+/// the total task count reads ≈ `threads` + number of steals, not |V|.
+/// Weighing each worker's ranges by per-root cost (a serial replay, or
+/// per-root timings) gives the schedule's critical path, which is what the
+/// wall clock would show on a machine with at least `threads` idle cores.
+/// The count is bit-identical to [`count_plan_parallel_with`]; the trace's
+/// tasks partition `[0, |V|)` for every thread count.
 pub fn count_plan_parallel_trace(
     graph: &CsrGraph,
     plan: &ExecutionPlan,
@@ -292,19 +241,21 @@ pub fn count_plan_parallel_trace(
 ) -> (u64, Vec<Vec<MiningTask>>) {
     let threads = effective_threads(threads, graph.vertex_count());
     let hubs = config.hub_set(graph);
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
+    let pool = RangePool::new(graph.vertex_count(), threads);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|me| {
-                let source = &source;
+                let pool = &pool;
                 let hubs = hubs.clone();
                 scope.spawn(move || {
                     let mut miner = PlanMiner::with_hubs(graph, plan, hubs, config);
                     let mut sink = CountSink::default();
-                    let mut trace = Vec::new();
-                    while let Some(task) = source.claim(me) {
-                        trace.push(task.clone());
+                    let mut trace: Vec<MiningTask> = Vec::new();
+                    while let Some(task) = pool.claim(me) {
+                        match trace.last_mut() {
+                            Some(last) if last.end == task.start => last.end = task.end,
+                            _ => trace.push(task.clone()),
+                        }
                         miner.run(task, &mut sink);
                     }
                     (sink.count, trace)
@@ -341,12 +292,12 @@ pub fn try_count_plan_parallel(
 
 /// Fallible counterpart of [`count_plan_parallel_with`].
 ///
-/// Every task runs under `catch_unwind`; a panicking task is recorded (with
-/// its root partition and panic message), the worker's miner is rebuilt —
-/// a panic can leave scratch state mid-DFS — and mining continues with the
-/// remaining tasks so *all* failures of a run are reported at once. On any
-/// failure the whole count is discarded: a partial count would silently
-/// under-report.
+/// Every claimed root runs under `catch_unwind`; a panicking root is
+/// recorded (as its one-root partition, with the panic message), the
+/// worker's miner is rebuilt — a panic can leave scratch state mid-DFS —
+/// and mining continues with the remaining roots so *all* failures of a run
+/// are reported at once. On any failure the whole count is discarded: a
+/// partial count would silently under-report.
 ///
 /// On success the count is bit-identical to [`count_plan_parallel_with`].
 ///
@@ -377,11 +328,10 @@ pub fn try_count_plan_parallel_with(
 ///   graph store (the service's storage layer) can run top-k hub selection
 ///   once at load time and share one `Arc<HubSet>` across every query that
 ///   ever touches the graph;
-/// - `cancel` is polled by every worker at root-task boundaries (between
-///   claimed tasks *and* between level-0 roots inside a task, via
-///   [`PlanMiner::run_cancellable`]); once it fires, all workers stop
-///   promptly, every partial count is discarded, and the call returns
-///   [`EngineError::Cancelled`] — never a partial total.
+/// - `cancel` is polled by every worker before each claimed root; once it
+///   fires, all workers stop promptly, every partial count is discarded,
+///   and the call returns [`EngineError::Cancelled`] — never a partial
+///   total.
 ///
 /// On success the count is bit-identical to [`count_plan_parallel_with`]
 /// for every thread count, token state, and hub set: cancellation is
@@ -411,7 +361,7 @@ pub fn try_count_plan_parallel_shared(
 /// a `global_gauge` is supplied, the run meters its scratch footprint on a
 /// per-query gauge (a child of `global_gauge` when one is given, so the
 /// daemon's process-wide gauge sees every query's bytes). Workers publish
-/// at root-task boundaries — the cancellation cadence — and a budget
+/// at root boundaries — the cancellation cadence — and a budget
 /// violation aborts the whole run with
 /// [`EngineError::MemBudgetExceeded`] under the cancellation contract:
 /// all-or-nothing, no partial count, gauge back to baseline on return.
@@ -444,8 +394,7 @@ pub fn try_count_plan_parallel_governed(
         None
     };
     let threads = effective_threads(threads, graph.vertex_count());
-    let tasks = MiningTask::partition(graph.vertex_count(), threads * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, config.work_stealing);
+    let pool = RangePool::new(graph.vertex_count(), threads);
     let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
     // Set by any worker that *observed* the token and stopped early; the
     // final verdict reads this rather than the token so a run that finished
@@ -470,7 +419,7 @@ pub fn try_count_plan_parallel_governed(
                 interrupted.store(true, Ordering::Relaxed);
                 break;
             }
-            let Some(task) = source.claim(me) else { break };
+            let Some(task) = pool.claim(me) else { break };
             let mut sink = CountSink::default();
             match catch_unwind(AssertUnwindSafe(|| {
                 // Chaos worker-panic site: inside the per-task isolation,
@@ -664,12 +613,14 @@ pub fn count_benchmark_parallel_with(
     count_multi_parallel_with(graph, &benchmark.plan(), threads, config)
 }
 
-/// Runs `worker` once per claimed root-range task on each of `threads`
-/// scoped threads, summing the returned counts. The generic scaffold the
-/// brute-force and ESU oracles reuse for their root-partitioned variants.
+/// Runs `worker` once per claimed one-root task on each of `threads`
+/// scoped threads (once over the whole range when serial), summing the
+/// returned counts. The generic scaffold the brute-force and ESU oracles
+/// reuse for their root-partitioned variants.
 ///
 /// `worker(task)` must be a pure function of the task (plus captured shared
-/// state) for the sum to be schedule-independent.
+/// state) and additive over splits of its range for the sum to be
+/// schedule-independent.
 ///
 /// # Panics
 ///
@@ -679,19 +630,21 @@ where
     W: Fn(&MiningTask) -> u64 + Sync,
 {
     let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
     if threads <= 1 {
-        return tasks.iter().map(&worker).sum();
+        return MiningTask::partition(vertex_count, 1)
+            .iter()
+            .map(&worker)
+            .sum();
     }
-    let source = TaskSource::new(&tasks, threads, true);
+    let pool = RangePool::new(vertex_count, threads);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|me| {
-                let source = &source;
+                let pool = &pool;
                 let worker = &worker;
                 scope.spawn(move || {
                     let mut local = 0u64;
-                    while let Some(task) = source.claim(me) {
+                    while let Some(task) = pool.claim(me) {
                         local += worker(&task);
                     }
                     local
@@ -711,14 +664,15 @@ where
 }
 
 /// Fallible counterpart of [`sum_over_root_tasks`]: each `worker(task)`
-/// call runs under `catch_unwind`, panics are collected per task, and the
-/// remaining tasks still run. The panic-injection seam the fault-tolerance
-/// tests drive, and the scaffold fallible oracle variants can reuse.
+/// call runs under `catch_unwind`, panics are collected per one-root task,
+/// and the remaining roots still run. The panic-injection seam the
+/// fault-tolerance tests drive, and the scaffold fallible oracle variants
+/// can reuse.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::WorkerPanic`] carrying every failed partition in
-/// ascending root order.
+/// Returns [`EngineError::WorkerPanic`] carrying every failed root in
+/// ascending order.
 pub fn try_sum_over_root_tasks<W>(
     vertex_count: usize,
     threads: usize,
@@ -727,63 +681,12 @@ pub fn try_sum_over_root_tasks<W>(
 where
     W: Fn(&MiningTask) -> u64 + Sync,
 {
-    let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, true);
-    let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
-    let isolated = |me: usize| {
-        let mut local = 0u64;
-        while let Some(task) = source.claim(me) {
-            match catch_unwind(AssertUnwindSafe(|| worker(&task))) {
-                Ok(n) => local += n,
-                // lock: failures
-                Err(payload) => failures
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(PartitionFailure {
-                        task,
-                        message: panic_message(payload),
-                    }),
-            }
-        }
-        local
-    };
-    let total: u64 = if threads <= 1 {
-        isolated(0)
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|me| {
-                    let isolated = &isolated;
-                    scope.spawn(move || isolated(me))
-                })
-                .collect();
-            workers
-                .into_iter()
-                // §11: each worker body is wrapped in catch_unwind, so the join
-                // handle itself cannot carry a panic; one escaping means the
-                // isolation wrapper is broken.
-                .map(
-                    #[allow(clippy::expect_used)] // §11: justified above
-                    |w| w.join().expect("isolated worker cannot panic"),
-                )
-                .sum()
-        })
-    };
-    let mut failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-    if failures.is_empty() {
-        Ok(total)
-    } else {
-        failures.sort_by_key(|f| f.task.start);
-        Err(EngineError::WorkerPanic { failures })
-    }
+    try_sum_over_root_tasks_cancellable(vertex_count, threads, &CancelToken::new(), worker)
 }
 
 /// Cancellable counterpart of [`try_sum_over_root_tasks`]: workers
-/// additionally poll `cancel` before claiming each task and stop once it
-/// fires. The cancellation granularity is one task (the `worker` callback
-/// is opaque, so there is no per-root poll here); use the plan-mining
-/// entry points for finer response.
+/// additionally poll `cancel` before claiming each root and stop once it
+/// fires.
 ///
 /// # Errors
 ///
@@ -800,8 +703,7 @@ where
     W: Fn(&MiningTask) -> u64 + Sync,
 {
     let threads = effective_threads(threads, vertex_count);
-    let tasks = MiningTask::partition(vertex_count, threads.max(1) * TASKS_PER_WORKER);
-    let source = TaskSource::new(&tasks, threads, true);
+    let pool = RangePool::new(vertex_count, threads);
     let failures: Mutex<Vec<PartitionFailure>> = Mutex::new(Vec::new());
     let interrupted = AtomicBool::new(false);
     let isolated = |me: usize| {
@@ -812,7 +714,7 @@ where
                 interrupted.store(true, Ordering::Relaxed);
                 break;
             }
-            let Some(task) = source.claim(me) else { break };
+            let Some(task) = pool.claim(me) else { break };
             match catch_unwind(AssertUnwindSafe(|| worker(&task))) {
                 Ok(n) => local += n,
                 // lock: failures
@@ -930,27 +832,22 @@ mod tests {
         }
     }
 
+    fn hub_first_graph(n: usize, m: usize, seed: u64) -> CsrGraph {
+        let mut cfg = fingers_graph::gen::ChungLuConfig::new(n, m, seed);
+        cfg.exponent = 1.9;
+        fingers_graph::gen::chung_lu_power_law(&cfg)
+    }
+
     #[test]
-    fn steal_and_cursor_schedules_agree_on_hub_heavy_graphs() {
-        // A power-law graph concentrates work in a few root tasks — the
+    fn range_stealing_agrees_with_serial_on_hub_heavy_graphs() {
+        // A power-law graph concentrates work in a few low-id roots — the
         // regime stealing exists for. Counts must be bit-identical across
-        // schedulers, thread counts, and simd settings.
-        let g = fingers_graph::gen::chung_lu_power_law(&fingers_graph::gen::ChungLuConfig::new(
-            500, 6_000, 42,
-        ));
+        // thread counts and simd settings, on both entry points.
+        let g = hub_first_graph(500, 6_000, 42);
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
         let expected = count_plan(&g, &plan);
-        for cfg in [
-            EngineConfig::default(),
-            EngineConfig::without_stealing(),
-            EngineConfig::without_simd(),
-            EngineConfig {
-                simd: false,
-                work_stealing: false,
-                ..EngineConfig::default()
-            },
-        ] {
-            for threads in [1, 2, 4, 8] {
+        for cfg in [EngineConfig::default(), EngineConfig::without_simd()] {
+            for threads in [1, 2, 3, 4, 8] {
                 assert_eq!(
                     count_plan_parallel_with(&g, &plan, threads, &cfg),
                     expected,
@@ -967,9 +864,9 @@ mod tests {
 
     #[test]
     fn stealing_survives_task_splits_with_few_tasks() {
-        // More workers than tasks forces the lone-task split path: with 9
-        // vertices and 8 workers the pool starts with at most 9 one-root
-        // tasks spread thin, and thieves hit the len==1 branches.
+        // Nearly as many workers as roots: with 9 vertices and 8 workers
+        // every range is seeded with one or two roots, so thieves cut
+        // one-root ranges and most scans end on an empty pool.
         let g = erdos_renyi(9, 20, 5);
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
         let expected = count_plan(&g, &plan);
@@ -979,24 +876,72 @@ mod tests {
     }
 
     #[test]
-    fn trace_partitions_roots_under_both_schedulers() {
+    fn trace_partitions_roots_into_coalesced_ranges() {
         let g = erdos_renyi(60, 240, 11);
         let plan = ExecutionPlan::compile(&Pattern::triangle(), Induced::Vertex);
         let expected = count_plan(&g, &plan);
-        for cfg in [EngineConfig::default(), EngineConfig::without_stealing()] {
-            for threads in [1, 2, 4] {
-                let (total, traces) = count_plan_parallel_trace(&g, &plan, threads, &cfg);
-                assert_eq!(total, expected, "{threads} threads under {cfg:?}");
-                assert_eq!(traces.len(), threads);
-                let mut roots: Vec<_> = traces
-                    .iter()
-                    .flatten()
-                    .flat_map(MiningTask::roots)
-                    .collect();
-                roots.sort_unstable();
-                let everything: Vec<_> = (0..g.vertex_count() as u32).collect();
-                assert_eq!(roots, everything, "trace must partition the roots");
+        let cfg = EngineConfig::default();
+        for threads in [1, 2, 4] {
+            let (total, traces) = count_plan_parallel_trace(&g, &plan, threads, &cfg);
+            assert_eq!(total, expected, "{threads} threads");
+            assert_eq!(traces.len(), threads);
+            for trace in &traces {
+                for pair in trace.windows(2) {
+                    assert_ne!(pair[0].end, pair[1].start, "adjacent claims coalesce");
+                }
             }
+            let mut roots: Vec<_> = traces
+                .iter()
+                .flatten()
+                .flat_map(MiningTask::roots)
+                .collect();
+            roots.sort_unstable();
+            let everything: Vec<_> = (0..g.vertex_count() as u32).collect();
+            assert_eq!(roots, everything, "trace must partition the roots");
+        }
+        let (_, serial) = count_plan_parallel_trace(&g, &plan, 1, &cfg);
+        assert_eq!(serial, vec![vec![MiningTask::all(&g)]]);
+    }
+
+    #[test]
+    fn two_workers_share_a_hub_first_graph() {
+        // Clock-free schedule quality: weigh every root by its serial 4cl
+        // embedding count (the hubs, ids first, hold almost all of it) and
+        // require that neither of two workers ends up with more than 3/4
+        // of the weight. A scheduler that cannot take unstarted roots away
+        // from the worker grinding the hub region fails this; the run is
+        // long enough that thread start-up skew cannot.
+        let g = hub_first_graph(3_000, 36_000, 7);
+        let plan = ExecutionPlan::compile(&Pattern::clique(4), Induced::Vertex);
+        let cfg = EngineConfig::default();
+        let mut miner = PlanMiner::with_hubs(&g, &plan, cfg.hub_set(&g), &cfg);
+        let weight: Vec<u64> = MiningTask::all(&g)
+            .roots()
+            .map(|r| {
+                let one = MiningTask {
+                    start: r,
+                    end: r + 1,
+                };
+                run_task::<CountSink>(&mut miner, one).count
+            })
+            .collect();
+        let expected: u64 = weight.iter().sum();
+        let (total, traces) = count_plan_parallel_trace(&g, &plan, 2, &cfg);
+        assert_eq!(total, expected);
+        let held = |trace: &Vec<MiningTask>| -> u64 {
+            trace
+                .iter()
+                .flat_map(MiningTask::roots)
+                .map(|r| weight[r as usize])
+                .sum()
+        };
+        let heavier = traces.iter().map(held).max().expect("two workers");
+        if std::thread::available_parallelism().map_or(1, usize::from) > 1 {
+            assert!(
+                heavier * 4 <= expected * 3,
+                "one worker mined {heavier} of {expected} embeddings: {:?}",
+                traces.iter().map(Vec::len).collect::<Vec<_>>()
+            );
         }
     }
 

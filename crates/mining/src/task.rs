@@ -3,10 +3,10 @@
 //! Plan-driven DFS trees rooted at different level-0 vertices are fully
 //! independent — no shared state, no cross-tree pruning. That makes "a
 //! range of roots" the natural task granule for parallel mining (the same
-//! decomposition the paper's accelerator uses to feed its PEs): partition
-//! the vertex range into more tasks than workers and let workers claim them
-//! dynamically, so a task containing a hub vertex does not serialize the
-//! whole run.
+//! decomposition the paper's accelerator uses to feed its PEs): seed each
+//! worker with a contiguous block and let workers claim single roots from
+//! it dynamically and steal from each other, so a block containing hub
+//! vertices does not serialize the whole run.
 
 use fingers_graph::{CsrGraph, VertexId};
 
@@ -46,25 +46,6 @@ impl MiningTask {
     /// Whether the task contains no roots.
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
-    }
-
-    /// Splits the task in half at root granularity, keeping the lower half
-    /// in `self` and returning the upper half. Returns `None` (leaving
-    /// `self` untouched) when the task has fewer than two roots. The two
-    /// halves partition the original range, so mining both reports exactly
-    /// the original embeddings — the work-stealing scheduler uses this to
-    /// turn a lone oversized task into two stealable chunks.
-    pub fn split_off_half(&mut self) -> Option<MiningTask> {
-        if self.len() < 2 {
-            return None;
-        }
-        let mid = self.start + (self.end - self.start) / 2;
-        let upper = MiningTask {
-            start: mid,
-            end: self.end,
-        };
-        self.end = mid;
-        Some(upper)
     }
 
     /// Splits `[0, vertex_count)` into at most `chunks` contiguous tasks of
@@ -117,24 +98,5 @@ mod tests {
     #[test]
     fn partition_of_empty_graph_is_empty() {
         assert!(MiningTask::partition(0, 4).is_empty());
-    }
-
-    #[test]
-    fn split_off_half_partitions_the_range() {
-        let mut t = MiningTask { start: 10, end: 21 };
-        let upper = t.split_off_half().expect("11 roots are splittable");
-        assert_eq!(t, MiningTask { start: 10, end: 15 });
-        assert_eq!(upper, MiningTask { start: 15, end: 21 });
-        let roots: Vec<_> = t.roots().chain(upper.roots()).collect();
-        assert_eq!(roots, (10..21).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_off_half_refuses_tiny_tasks() {
-        for (start, end) in [(3, 3), (3, 4)] {
-            let mut t = MiningTask { start, end };
-            assert!(t.split_off_half().is_none());
-            assert_eq!(t, MiningTask { start, end }, "refusal must not mutate");
-        }
     }
 }

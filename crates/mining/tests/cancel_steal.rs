@@ -2,14 +2,13 @@
 //! corrupts a count.
 //!
 //! A token can fire at any moment relative to a worker's claim cycle —
-//! including between popping a task from its own deque and splitting a
-//! stolen range — so the property is phrased over *outcomes*: whatever
+//! including between cutting a victim's range and installing the stolen
+//! half — so the property is phrased over *outcomes*: whatever
 //! the interleaving, a run either completes with the exact serial count
 //! (no root partition lost, none counted twice) or reports a typed
 //! cancellation with no count at all. There is no third outcome.
 //!
-//! Swept across {1, 2, 4, 8} threads × simd on/off × stealing on/off,
-//! with the cancel delay fuzzed so the token lands in every phase of the
+//! Swept across {1, 2, 4, 8} threads × simd on/off, with the cancel delay fuzzed so the token lands in every phase of the
 //! run: before the first claim, mid-storm, and after the last task.
 
 use std::sync::OnceLock;
@@ -45,18 +44,17 @@ fn serial_count(config: &EngineConfig) -> u64 {
     count_plan_parallel_with(graph(), plan(), 1, config)
 }
 
-fn config_for(simd: bool, stealing: bool) -> EngineConfig {
+fn config_for(simd: bool) -> EngineConfig {
     EngineConfig {
         simd,
-        work_stealing: stealing,
         ..EngineConfig::default()
     }
 }
 
 /// The core property: fire the token `delay_us` into the run and assert
 /// the all-or-nothing contract.
-fn run_race(threads: usize, simd: bool, stealing: bool, delay_us: u64) {
-    let config = config_for(simd, stealing);
+fn run_race(threads: usize, simd: bool, delay_us: u64) {
+    let config = config_for(simd);
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
@@ -72,12 +70,12 @@ fn run_race(threads: usize, simd: bool, stealing: bool, delay_us: u64) {
             count,
             serial_count(&config),
             "a completed run must count every root partition exactly once \
-             (threads={threads}, simd={simd}, stealing={stealing}, delay={delay_us}us)"
+             (threads={threads}, simd={simd}, delay={delay_us}us)"
         ),
         Err(e) => assert!(
             e.cancel_kind().is_some(),
             "the only legal failure is a typed cancellation, got {e:?} \
-             (threads={threads}, simd={simd}, stealing={stealing}, delay={delay_us}us)"
+             (threads={threads}, simd={simd}, delay={delay_us}us)"
         ),
     }
 }
@@ -90,10 +88,9 @@ proptest! {
     fn cancel_racing_the_scheduler_is_all_or_nothing(
         threads in (0usize..4).prop_map(|i| [1usize, 2, 4, 8][i]),
         simd in (0u32..2).prop_map(|b| b == 1),
-        stealing in (0u32..2).prop_map(|b| b == 1),
         delay_us in 0u64..4000,
     ) {
-        run_race(threads, simd, stealing, delay_us);
+        run_race(threads, simd, delay_us);
     }
 }
 
@@ -101,15 +98,13 @@ proptest! {
 fn pre_cancelled_token_aborts_every_configuration() {
     for threads in [1usize, 2, 4, 8] {
         for simd in [false, true] {
-            for stealing in [false, true] {
-                let config = config_for(simd, stealing);
-                let token = CancelToken::new();
-                token.cancel();
-                let err =
-                    try_count_plan_parallel_shared(graph(), plan(), threads, &config, None, &token)
-                        .expect_err("pre-cancelled run cannot complete");
-                assert!(err.cancel_kind().is_some(), "{err:?}");
-            }
+            let config = config_for(simd);
+            let token = CancelToken::new();
+            token.cancel();
+            let err =
+                try_count_plan_parallel_shared(graph(), plan(), threads, &config, None, &token)
+                    .expect_err("pre-cancelled run cannot complete");
+            assert!(err.cancel_kind().is_some(), "{err:?}");
         }
     }
 }
@@ -118,19 +113,17 @@ fn pre_cancelled_token_aborts_every_configuration() {
 fn uncancelled_token_matches_serial_everywhere() {
     for threads in [1usize, 2, 4, 8] {
         for simd in [false, true] {
-            for stealing in [false, true] {
-                let config = config_for(simd, stealing);
-                let count = try_count_plan_parallel_shared(
-                    graph(),
-                    plan(),
-                    threads,
-                    &config,
-                    None,
-                    &CancelToken::new(),
-                )
-                .expect("uncancelled run completes");
-                assert_eq!(count, serial_count(&config));
-            }
+            let config = config_for(simd);
+            let count = try_count_plan_parallel_shared(
+                graph(),
+                plan(),
+                threads,
+                &config,
+                None,
+                &CancelToken::new(),
+            )
+            .expect("uncancelled run completes");
+            assert_eq!(count, serial_count(&config));
         }
     }
 }

@@ -7,8 +7,12 @@
 //! `--no-default-features` (scalar set-op kernels), proving the fallback
 //! path degrades identically under the same fault streams.
 //!
-//! The chaos plan is process-global, so every test runs under one lock
-//! and restores the uninstalled state before releasing it.
+//! The chaos plan is process-global, and an engine run draws from
+//! whatever plan is installed while it runs. So *every* engine run in this
+//! file — baselines, recovery runs and the "uninstalled" test included —
+//! takes `CHAOS_LOCK`, either through `with_chaos` (plan installed, cleared
+//! on exit) or `without_chaos` (nothing installed), and the suite passes
+//! under the default parallel test runner.
 
 use std::sync::Mutex;
 
@@ -21,12 +25,23 @@ use fingers_pattern::{parse_pattern, ExecutionPlan, Induced};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
+fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
+    CHAOS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Runs `f` with no plan installed and none installable meanwhile.
+fn without_chaos<R>(f: impl FnOnce() -> R) -> R {
+    let _guard = chaos_lock();
+    assert!(!chaos::active(), "a chaos test leaked its plan");
+    f()
+}
+
 /// Runs `f` with `plan` installed, clearing chaos afterwards even when an
 /// assertion inside `f` panics.
 fn with_chaos<R>(plan: ChaosPlan, f: impl FnOnce() -> R) -> R {
-    let _guard = CHAOS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = chaos_lock();
     struct Clear;
     impl Drop for Clear {
         fn drop(&mut self) {
@@ -75,6 +90,10 @@ fn injected_worker_panics_fail_typed_and_name_partitions() {
             f.message
         );
     }
+    assert!(
+        failures.iter().all(|f| f.task.len() == 1),
+        "a failure names the single root it was mining: {failures:?}"
+    );
     let starts: Vec<_> = failures.iter().map(|f| f.task.start).collect();
     let mut sorted = starts.clone();
     sorted.sort_unstable();
@@ -86,7 +105,7 @@ fn injected_alloc_failures_are_typed_and_recovery_is_bit_identical() {
     let g = graph();
     let p = plan("4cl");
     let config = EngineConfig::default();
-    let baseline = count_plan_parallel_with(&g, &p, 1, &config);
+    let baseline = without_chaos(|| count_plan_parallel_with(&g, &p, 1, &config));
     let err = with_chaos(
         ChaosPlan {
             alloc_per_mille: 1000,
@@ -104,17 +123,17 @@ fn injected_alloc_failures_are_typed_and_recovery_is_bit_identical() {
         matches!(err, EngineError::WorkerPanic { .. }),
         "a simulated allocation failure surfaces as an isolated worker panic: {err:?}"
     );
-    let recovered =
-        try_count_plan_parallel_with(&g, &p, 1, &config).expect("chaos-free run succeeds");
+    let recovered = without_chaos(|| try_count_plan_parallel_with(&g, &p, 1, &config))
+        .expect("chaos-free run succeeds");
     assert_eq!(recovered, baseline, "recovery run is bit-identical");
 }
 
 #[test]
 fn serial_fault_schedule_is_identical_across_kernel_tiers() {
-    // One draw per claimed task, serial claim order: the same seed must
-    // fail the same root partitions whether the set-op tier is SIMD or
-    // scalar — the degradation-parity claim ci.sh re-checks with
-    // `--no-default-features`.
+    // One draw per claimed root, and a single worker claims roots in
+    // ascending order: the same seed must fail the same roots whether the
+    // set-op tier is SIMD or scalar — the degradation-parity claim ci.sh
+    // re-checks with `--no-default-features`.
     let g = graph();
     let p = plan("tc");
     let chaos_plan = ChaosPlan {
@@ -125,14 +144,17 @@ fn serial_fault_schedule_is_identical_across_kernel_tiers() {
         with_chaos(chaos_plan, || {
             match try_count_plan_parallel_with(&g, &p, 1, config) {
                 Err(EngineError::WorkerPanic { failures }) => {
+                    assert!(failures.iter().all(|f| f.task.len() == 1), "{failures:?}");
                     failures.iter().map(|f| f.task.start).collect::<Vec<_>>()
                 }
                 other => panic!("expected WorkerPanic, got {other:?}"),
             }
         })
     };
+    let simd = failed_roots(&EngineConfig::default());
+    assert!(simd.windows(2).all(|w| w[0] < w[1]), "root order: {simd:?}");
     assert_eq!(
-        failed_roots(&EngineConfig::default()),
+        simd,
         failed_roots(&EngineConfig::without_simd()),
         "scalar fallback must degrade identically"
     );
@@ -168,13 +190,12 @@ fn chaos_survives_alongside_cancellation_and_budget_contracts() {
 
 #[test]
 fn uninstalled_chaos_runs_are_untouched() {
-    let _guard = CHAOS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert!(!chaos::active());
     let g = graph();
     let p = plan("tc");
     let config = EngineConfig::default();
-    let count = try_count_plan_parallel_with(&g, &p, 4, &config).expect("chaos-free run succeeds");
-    assert_eq!(count, count_plan_parallel_with(&g, &p, 1, &config));
+    without_chaos(|| {
+        let count =
+            try_count_plan_parallel_with(&g, &p, 4, &config).expect("chaos-free run succeeds");
+        assert_eq!(count, count_plan_parallel_with(&g, &p, 1, &config));
+    });
 }

@@ -21,23 +21,23 @@ fn opts() -> CheckOptions {
 }
 
 #[test]
-fn deque_partition_holds_under_all_bounded_schedules() {
-    let report = model::deque_partition_check(opts());
+fn range_partition_holds_under_all_bounded_schedules() {
+    let report = model::range_partition_check(opts());
     report.assert_clean();
     assert!(report.executions > 1, "exploration must branch");
     assert!(report.max_threads >= 3, "main + two workers");
 }
 
 #[test]
-fn deque_split_steal_holds_under_all_bounded_schedules() {
-    let report = model::deque_split_check(opts());
+fn range_boundary_root_goes_to_exactly_one_claimant() {
+    let report = model::range_boundary_check(opts());
     report.assert_clean();
     assert!(report.executions > 1, "exploration must branch");
 }
 
 #[test]
-fn seeded_peek_pop_race_is_caught() {
-    let report = model::deque_racy_check(opts());
+fn seeded_torn_steal_is_caught() {
+    let report = model::range_torn_steal_check(opts());
     report.assert_caught();
     let v = &report.violations[0];
     assert!(

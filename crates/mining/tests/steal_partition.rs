@@ -1,72 +1,65 @@
-//! Property test: work-stealing claims always partition the seeded roots.
+//! Property test: range-pool claims always partition the roots.
 //!
 //! The bounded model checker (`tests/model_check.rs`) exhausts *every*
-//! interleaving of a tiny deque; this test is its complement — real OS
-//! threads, adversarial task *shapes*: empty pools, a single lone root,
-//! hub-heavy skews where one task dwarfs the rest (forcing the
-//! `split_off_half` steal arm), and uniform partitions. Whatever the
-//! shape and thread timing, the union of all claimed tasks must cover
-//! every root exactly once — no root lost to a steal, none double-mined
-//! by a split.
+//! interleaving of a tiny pool; this test is its complement — real OS
+//! threads, adversarial *shapes*: an empty pool, a single root, fewer
+//! roots than workers (some ranges start empty), a hub-first and a
+//! hub-last skew (one worker is slow on the first or last roots, so the
+//! others must steal the rest of its range from under it), and a uniform
+//! drain. Whatever the shape and thread timing, the union of all claimed
+//! roots must be `0..n`, each exactly once — no root lost to a steal, none
+//! handed out twice.
 
-use fingers_mining::parallel::StealPool;
+use fingers_mining::parallel::RangePool;
 use fingers_mining::MiningTask;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::time::Duration;
 
-/// Adversarial task shapes over `[0, n)`, chosen by `kind`.
-fn shape_tasks(kind: u8, n: u32) -> Vec<MiningTask> {
-    match kind % 4 {
-        // Uniform near-equal partition, more tasks than workers.
-        0 => MiningTask::partition(n as usize, 7),
-        // Single task holding the whole range: every other worker must
-        // go through the steal-and-split path.
-        1 if n > 0 => vec![MiningTask { start: 0, end: n }],
-        // Hub-heavy: one dominant task plus unit-size crumbs.
-        2 if n >= 4 => {
-            let hub_end = n - (n / 4);
-            let mut tasks = vec![MiningTask {
-                start: 0,
-                end: hub_end,
-            }];
-            tasks.extend((hub_end..n).map(|r| MiningTask {
-                start: r,
-                end: r + 1,
-            }));
-            tasks
+/// Which roots are slow to "mine".
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Uniform,
+    HubFirst,
+    HubLast,
+}
+
+impl Shape {
+    fn is_hub(self, root: u32, n: u32) -> bool {
+        let hubs = (n / 16).max(1);
+        match self {
+            Shape::Uniform => false,
+            Shape::HubFirst => root < hubs,
+            Shape::HubLast => root >= n - hubs,
         }
-        // Degenerate: empty pool regardless of n.
-        _ => MiningTask::partition(n as usize, 3),
     }
 }
 
-/// Drains a shared pool from `workers` OS threads and returns every claimed
-/// root. Splitting each claimed task once more mid-drain (when `resplit`)
-/// stresses the claim/split arithmetic a second way: a worker re-splitting
-/// its own claim must still mine both halves exactly once.
-fn drain_with_threads(tasks: &[MiningTask], workers: usize, resplit: bool) -> Vec<u32> {
-    let pool = Arc::new(StealPool::new(tasks, workers));
-    let handles: Vec<_> = (0..workers)
-        .map(|me| {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                let mut mined = Vec::new();
-                while let Some(mut t) = pool.claim(me) {
-                    if resplit {
-                        if let Some(upper) = t.split_off_half() {
-                            mined.extend(upper.roots());
+/// Drains a pool over `[0, n)` from `workers` OS threads, each claim
+/// checked to be a one-root task, and returns every claimed root, sorted.
+fn drain_with_threads(n: u32, workers: usize, shape: Shape) -> Vec<u32> {
+    let pool = RangePool::new(n as usize, workers);
+    let mut mined: Vec<u32> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|me| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let mut mined = Vec::new();
+                    while let Some(t) = pool.claim(me) {
+                        assert_eq!(t.len(), 1, "claims are single roots: {t:?}");
+                        if shape.is_hub(t.start, n) {
+                            std::thread::sleep(Duration::from_micros(200));
                         }
+                        mined.extend(t.roots());
                     }
-                    mined.extend(t.roots());
-                }
-                mined
+                    mined
+                })
             })
-        })
-        .collect();
-    let mut mined: Vec<u32> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("worker panicked"))
-        .collect();
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
     mined.sort_unstable();
     mined
 }
@@ -76,43 +69,28 @@ proptest! {
 
     #[test]
     fn claims_partition_roots_for_adversarial_shapes(
-        kind in 0u8..4,
+        shape in (0usize..3).prop_map(|i| [Shape::Uniform, Shape::HubFirst, Shape::HubLast][i]),
         n in 0u32..96,
         workers in 2usize..=4,
-        resplit_bit in 0u8..2,
     ) {
-        let tasks = shape_tasks(kind, n);
-        let expected: Vec<u32> = tasks.iter().flat_map(MiningTask::roots).collect();
-        let mut expected_sorted = expected;
-        expected_sorted.sort_unstable();
-        let mined = drain_with_threads(&tasks, workers, resplit_bit == 1);
-        prop_assert_eq!(mined, expected_sorted);
-    }
-
-    #[test]
-    fn split_off_half_partitions_any_task(start in 0u32..1000, len in 0u32..1000) {
-        let mut t = MiningTask { start, end: start + len };
-        let before: Vec<u32> = t.roots().collect();
-        match t.split_off_half() {
-            Some(upper) => {
-                let mut after: Vec<u32> = t.roots().chain(upper.roots()).collect();
-                after.sort_unstable();
-                prop_assert_eq!(after, before);
-                prop_assert!(!t.is_empty() && !upper.is_empty());
-                prop_assert_eq!(t.end, upper.start, "halves stay contiguous");
-            }
-            None => prop_assert!(before.len() < 2, "only sub-2-root tasks refuse to split"),
-        }
+        let expected: Vec<u32> = (0..n).collect();
+        prop_assert_eq!(drain_with_threads(n, workers, shape), expected);
     }
 }
 
 #[test]
 fn empty_pool_yields_nothing() {
-    assert!(drain_with_threads(&[], 3, false).is_empty());
+    assert!(drain_with_threads(0, 3, Shape::Uniform).is_empty());
 }
 
 #[test]
 fn single_root_is_claimed_exactly_once() {
-    let tasks = vec![MiningTask { start: 0, end: 1 }];
-    assert_eq!(drain_with_threads(&tasks, 4, false), vec![0]);
+    assert_eq!(drain_with_threads(1, 4, Shape::Uniform), vec![0]);
+}
+
+#[test]
+fn fewer_roots_than_workers_leaves_some_ranges_empty() {
+    assert_eq!(drain_with_threads(3, 4, Shape::HubFirst), vec![0, 1, 2]);
+    let pool = RangePool::new(3, 4);
+    assert_eq!(pool.claim(3), Some(MiningTask { start: 0, end: 1 }));
 }

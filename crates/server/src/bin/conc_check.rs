@@ -47,9 +47,9 @@ fn record(r: &CheckReport, expect_violation: bool) -> String {
 fn main() {
     // (report, does this harness exist to be *caught*?)
     let runs: Vec<(CheckReport, bool)> = vec![
-        (mining_model::deque_partition_check(opts()), false),
-        (mining_model::deque_split_check(opts()), false),
-        (mining_model::deque_racy_check(opts()), true),
+        (mining_model::range_partition_check(opts()), false),
+        (mining_model::range_boundary_check(opts()), false),
+        (mining_model::range_torn_steal_check(opts()), true),
         (mining_model::cancel_all_or_nothing_check(opts()), false),
         (mining_model::gauge_drain_check(opts()), false),
         (server_model::phoenix_rebuild_check(opts()), false),

@@ -363,11 +363,10 @@ impl Core {
     /// bit-identical to an undegraded run — degradation trades speed for
     /// footprint, never correctness.
     ///
-    /// The clamped budget composes with the engine's work-stealing
-    /// scheduler (`job.config.work_stealing`, daemon flag `--no-steal`):
-    /// the budget fixes how many workers a query spawns, stealing only
-    /// redistributes root tasks *among* them, so the cap — and the count —
-    /// holds under every steal schedule.
+    /// The clamped budget composes with the engine's range-stealing root
+    /// scheduler: the budget fixes how many workers a query spawns,
+    /// stealing only redistributes roots *among* them, so the cap — and
+    /// the count — holds under every steal schedule.
     fn run_job(&self, job: &Job) -> Result<Vec<u64>, EngineError> {
         let level = self.degradation();
         let mut threads = job
@@ -743,11 +742,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_budgets_compose_with_stealing_and_simd_toggles() {
-        // The same query under every scheduler/kernel toggle and several
-        // thread budgets (including ones above the per-query cap) must
-        // produce the serial count — budgets clamp worker counts, stealing
-        // only moves tasks among those workers.
+    fn thread_budgets_compose_with_stealing_and_the_simd_toggle() {
+        // The same query under both kernel settings and several thread
+        // budgets (including ones above the per-query cap) must produce
+        // the serial count — budgets clamp worker counts, stealing only
+        // moves roots among those workers.
         let graph = test_graph("gen:pl:300:3000:13");
         let sched = Scheduler::new(SchedulerConfig {
             workers: 2,
@@ -757,11 +756,7 @@ mod tests {
         });
         let plan = plan_of(&Pattern::triangle());
         let expected = fingers_mining::count_plan(&graph.graph, &plan);
-        for config in [
-            EngineConfig::default(),
-            EngineConfig::without_stealing(),
-            EngineConfig::without_simd(),
-        ] {
+        for config in [EngineConfig::default(), EngineConfig::without_simd()] {
             for threads in [1, 4, 64] {
                 let rx = sched
                     .submit(Job {

@@ -61,6 +61,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The whole mining crate under the default parallel test runner (the
+# chaos plan is process-global; every engine run of the fault-injection
+# suite holds its lock, so no --test-threads=1 is needed).
+echo "==> cargo test -q -p fingers-mining"
+cargo test -q -p fingers-mining
+
+# The stack benchmark's smoke: schema, metric names, units and count
+# correctness on every workload, <= 2 s each. It is a standalone package
+# calling only public functions (benchmark/README.md lists them), so this
+# also compile-checks that list on every PR.
+echo "==> benchmark --smoke (public-function list compiles, counts correct)"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
+
 # Smoke-run the bitmap-kernel microbench: --quick does one iteration per
 # shape and asserts all three kernel tiers produce identical outputs (the
 # non-timing check); pointing FINGERS_RESULTS_DIR at a nonexistent path
@@ -84,10 +97,11 @@ echo "==> simd_kernels --quick smoke (simd/scalar equivalence assertions)"
 FINGERS_RESULTS_DIR=/nonexistent-fingers-ci-smoke \
   cargo run --release -q -p fingers-bench --bin simd_kernels -- --quick > /dev/null
 
-# Smoke-run the steal-balance experiment: --quick asserts the static,
-# shared-cursor, and work-stealing schedulers all produce the serial
-# count on the power-law hub graph at 1 and 8 threads.
-echo "==> steal_balance --quick smoke (parallel==serial at 1/8 threads)"
+# Smoke-run the steal-balance experiment: --quick asserts the engine's
+# traced range-stealing run and the per-root serial replay (which the
+# static and fixed-chunk comparison schedules are computed from) both
+# produce the serial count on the power-law hub graph at 1 and 8 threads.
+echo "==> steal_balance --quick smoke (traced parallel == per-root replay == serial at 1/8 threads)"
 FINGERS_RESULTS_DIR=/nonexistent-fingers-ci-smoke \
   cargo run --release -q -p fingers-bench --bin steal_balance -- --quick > /dev/null
 
@@ -112,15 +126,16 @@ for seed in 11 23 47; do
     cargo run --release -q -p fingers-bench --bin soak_chaos -- --quick > /dev/null
 done
 
-# Model-check job: exhaust the bounded interleaving space of the deque,
-# cancel, gauge, phoenix-rebuild, and degradation-ladder protocols.
+# Model-check job: exhaust the bounded interleaving space of the
+# root-range pool, cancel, gauge, phoenix-rebuild, and degradation-ladder protocols.
 # Release mode because exploration is exponential in schedule points;
 # the wall-clock budget is enforced per harness (CheckOptions carries a
 # max_duration timeout) and every invariant test *asserts* completeness,
 # so a state-space blowup fails loudly instead of truncating silently.
 # The conc crate's own suite also proves the explorer catches a seeded
-# lost-update and deadlock; the mining suite proves the seeded peek/pop
-# TOCTOU bug in claim_racy is still caught. The second pass drops
+# lost-update and deadlock; the mining suite proves the seeded
+# load-then-store steal (claim_with_torn_steal) is still caught. The
+# second pass drops
 # default features, proving the instrumented shim and harnesses need
 # nothing from the simd stack.
 echo "==> model-check job (bounded schedule exploration, default + no-default features)"

@@ -58,9 +58,9 @@ fn flexminer_simulation_is_deterministic() {
 /// benchmark, on synthetic datasets of three different degree structures,
 /// the parallel count is bit-identical to the sequential count at 1, 2, 4,
 /// and 8 threads — with the dense-bitmap kernel tier both enabled and
-/// disabled, with terminal-count fusion both enabled and disabled, with
-/// the SIMD kernel tier both enabled and disabled, and under both the
-/// work-stealing and shared-cursor schedulers. (The reduction is an
+/// disabled, with terminal-count fusion both enabled and disabled, and
+/// with the SIMD kernel tier both enabled and disabled; the one root
+/// scheduler runs under all of them. (The reduction is an
 /// order-independent `u64` sum over root-partitioned tasks, and all kernel
 /// tiers — including the fused count forms and the vector kernels — are
 /// property-tested output-identical, so this holds by construction — this
@@ -98,22 +98,12 @@ fn parallel_counts_are_bit_identical_to_sequential() {
             },
         ),
         ("simd off", EngineConfig::without_simd()),
-        ("stealing off", EngineConfig::without_stealing()),
-        (
-            "simd off, stealing off",
-            EngineConfig {
-                simd: false,
-                work_stealing: false,
-                ..EngineConfig::default()
-            },
-        ),
         (
             "everything off",
             EngineConfig {
                 bitmap_hubs: 0,
                 fuse_terminal_counts: false,
                 simd: false,
-                work_stealing: false,
                 ..EngineConfig::default()
             },
         ),

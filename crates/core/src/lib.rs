@@ -7,6 +7,9 @@
 //!   private cache, 2×8 kB stream buffers per PE; 20 PEs per chip).
 //! - [`area`]: the Table 2 area/power model and the iso-area configuration
 //!   solvers used throughout the evaluation.
+//! - [`interp`] + [`frame`]: the plan interpreter and candidate-set storage
+//!   both PE models share — what a task computes; each design supplies
+//!   only what it charges for it (an [`interp::OpModel`]).
 //! - [`pe`]: the FINGERS processing element — the 5-stage macro pipeline of
 //!   Section 4 with branch-level (pseudo-DFS task groups), set-level
 //!   (parallel schedule ops sharing the streamed neighbor list) and
@@ -45,8 +48,8 @@
 pub mod area;
 pub mod chip;
 pub mod config;
+pub mod frame;
+pub mod interp;
 pub mod pe;
 pub mod stats;
 pub mod trace;
-
-mod frame;

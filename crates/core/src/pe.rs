@@ -15,71 +15,148 @@
 //! so every simulation doubles as a correctness check against the software
 //! miner.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+// lint: hot-path(alloc)
 
 use fingers_graph::{CsrGraph, VertexId};
-use fingers_pattern::{ExecutionPlan, MultiPlan, PlanOp};
-use fingers_setops::{segmented, Elem, SetOpKind};
+use fingers_pattern::{ExecutionPlan, MultiPlan};
+use fingers_setops::{segmented, Elem, SegmentedConfig, SetOpKind};
 use fingers_sim::{Cycle, MemorySystem};
 
 use crate::chip::PeModel;
 use crate::config::PeConfig;
-use crate::frame::Frame;
+use crate::interp::{Interp, OpModel, Task};
 use crate::stats::PeStats;
 use crate::trace::{Trace, TraceEvent};
 
-/// Memoization key for identical in-task computations: operand
-/// identities, operation discriminant, and symmetry-breaking clip bound.
-type MemoKey = (usize, usize, u8, Option<Elem>);
-type Memo = HashMap<MemoKey, Rc<Vec<Elem>>>;
-
-/// One task: a newly matched vertex at `level` of some plan's search tree.
-#[derive(Debug, Clone)]
-struct Task {
-    plan_idx: usize,
-    level: usize,
-    /// Mapped input vertices for levels `0..=level`.
-    mapped: Rc<Vec<VertexId>>,
-    /// Candidate sets materialized by ancestor tasks.
-    frame: Option<Rc<Frame>>,
+/// A queued task plus the `(first_ready, completion)` of its neighbor-list
+/// fetch, filled when its group is first touched.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    task: Task,
+    ready: (Cycle, Cycle),
 }
 
-/// A pseudo-DFS task group: siblings popped (and fetched) together.
+/// A pseudo-DFS task group: siblings popped (and fetched) together. Its
+/// tasks are the slice `start..end` of the PE's task queue; groups nest
+/// like the search tree, so the queue is a stack too.
 #[derive(Debug)]
 struct Group {
-    tasks: Vec<Task>,
-    /// `(first_ready, completion)` of each task's neighbor-list fetch,
-    /// parallel to `tasks`; filled on first touch.
-    ready: Vec<(Cycle, Cycle)>,
-    fetched: bool,
+    start: usize,
+    end: usize,
+    /// Queue index of the next task to run.
     next: usize,
-    /// Private-cache bytes to release when this group completes (attached
-    /// to the last child group of a spawning task).
-    release_bytes: u64,
+    fetched: bool,
     /// Earliest cycle the group may start: child tasks depend on the parent
     /// task's collected results.
     not_before: Cycle,
+}
+
+/// The IU array behind its task dividers and result collector: the
+/// [`OpModel`] of a FINGERS PE. Holds what an operation's timing touches —
+/// the per-IU clocks, the segmented pipeline's scratch, the statistics —
+/// plus the running totals of the task being executed.
+#[derive(Debug)]
+struct IuArray<'g> {
+    graph: &'g CsrGraph,
+    seg_cfg: SegmentedConfig,
+    scratch: segmented::Scratch,
+    /// Per-IU busy-until times, persistent across tasks: sibling tasks'
+    /// workloads pipeline onto the array as units free up.
+    iu_free: Vec<Cycle>,
+    /// The last operation (by `ops_issued`) that used each IU.
+    iu_last_op: Vec<u64>,
+    ops_issued: u64,
+    stats: PeStats,
+    /// One-way NoC latency from this PE to the shared-cache port.
+    noc_latency: Cycle,
+    /// Current task: when its compute may start, when its last workload
+    /// drains, its divider and collector totals, and when the last operand
+    /// list arrives.
+    floor: Cycle,
+    iu_end: Cycle,
+    divider_cycles: u64,
+    collector_receives: u64,
+    data_done: Cycle,
+}
+
+impl OpModel for IuArray<'_> {
+    /// Ancestors' lists (postponed anti-subtraction operands) are fetched
+    /// again, usually a shared-cache hit since they streamed recently; the
+    /// task's own list is shared by all its ops.
+    fn stream_operand(&mut self, v: VertexId, streamed: bool, mem: &mut MemorySystem) {
+        if !streamed {
+            let out = mem.fetch(
+                self.floor,
+                self.graph.neighbor_list_addr(v),
+                self.graph.neighbor_list_bytes(v),
+            );
+            self.data_done = self.data_done.max(out.completion + self.noc_latency);
+        }
+    }
+
+    /// Runs the op through the segmented pipeline and schedules its IU
+    /// workloads greedily onto the earliest-free IUs, recording busy time
+    /// and the Table 3 balance accounting.
+    fn execute(&mut self, kind: SetOpKind, short: &[Elem], long: &[Elem], out: &mut Vec<Elem>) {
+        let counts =
+            segmented::execute_into(&mut self.scratch, kind, short, long, &self.seg_cfg, out);
+        let workloads = self.scratch.workload_cycles();
+        self.stats.set_ops += 1;
+        self.stats.workloads += workloads.len() as u64;
+        self.divider_cycles += counts.divider_cycles;
+        self.collector_receives += counts.collector_receives;
+        self.ops_issued += 1;
+
+        let mut ius_used = 0;
+        let mut busy = 0;
+        let mut load_start = Cycle::MAX;
+        let mut load_end = 0;
+        for &cycles in workloads {
+            // §11: PeConfig validates iu_count >= 1 at construction, so
+            // iu_free is never empty; an empty pool is a config-path bug.
+            #[allow(clippy::expect_used)]
+            let (idx, _) = self
+                .iu_free
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &f)| f)
+                .expect("at least one IU");
+            let start = self.iu_free[idx].max(self.floor);
+            self.iu_free[idx] = start + cycles;
+            busy += cycles;
+            load_start = load_start.min(start);
+            load_end = load_end.max(start + cycles);
+            if self.iu_last_op[idx] != self.ops_issued {
+                self.iu_last_op[idx] = self.ops_issued;
+                ius_used += 1;
+            }
+        }
+        self.stats.iu_busy_cycles += busy;
+        self.iu_end = self.iu_end.max(load_end);
+        if ius_used > 0 {
+            self.stats.balance_busy += busy;
+            self.stats.balance_span += (load_end - load_start) * ius_used;
+        }
+    }
 }
 
 /// The FINGERS PE simulation state. Implements [`PeModel`] so it can be
 /// driven by the shared chip driver.
 #[derive(Debug)]
 pub struct FingersPe<'g> {
-    graph: &'g CsrGraph,
     plans: Vec<&'g ExecutionPlan>,
     cfg: PeConfig,
     /// Front-end time: where the fetch/head-list/divider stages are. Tasks
     /// issue from here; the IU array drains behind it (macro-pipeline
     /// overlap across tasks, Section 4's 5-stage pipeline).
     now: Cycle,
-    /// Per-IU busy-until times, persistent across tasks: sibling tasks'
-    /// workloads pipeline onto the array as units free up.
-    iu_free: Vec<Cycle>,
     /// Latest task completion (the PE's retire time).
     finish: Cycle,
     stack: Vec<Group>,
-    stats: PeStats,
+    /// The tasks of every group on `stack`, bottom group first.
+    queue: Vec<Queued>,
+    interp: Interp<'g>,
+    ius: IuArray<'g>,
     /// Live candidate-set bytes (private-cache occupancy model).
     live_bytes: u64,
     /// EWMA of materialized candidate-set lengths, for group sizing.
@@ -87,8 +164,6 @@ pub struct FingersPe<'g> {
     /// Synthetic spill address region (above the graph's footprint).
     spill_base: u64,
     spill_cursor: u64,
-    /// One-way NoC latency from this PE to the shared-cache port.
-    noc_latency: Cycle,
     trace: Trace,
 }
 
@@ -99,32 +174,51 @@ impl<'g> FingersPe<'g> {
     ///
     /// Panics if any pattern has fewer than 2 vertices.
     pub fn new(graph: &'g CsrGraph, multi: &'g MultiPlan, cfg: PeConfig) -> Self {
+        // lint: allow-alloc(per-PE construction, once per simulation)
         let plans: Vec<&ExecutionPlan> = multi.plans().iter().collect();
         assert!(
             plans.iter().all(|p| p.pattern_size() >= 2),
             "patterns must have at least 2 vertices"
         );
-        let avg_deg = graph.avg_degree().max(1.0);
-        let cfg_trace = cfg.trace_capacity;
-        Self {
+        let ius = IuArray {
             graph,
+            seg_cfg: cfg.segmented(),
+            scratch: segmented::Scratch::default(),
+            // lint: allow-alloc(per-PE construction, once per simulation)
+            iu_free: vec![0; cfg.num_ius],
+            // lint: allow-alloc(per-PE construction, once per simulation)
+            iu_last_op: vec![0; cfg.num_ius],
+            ops_issued: 0,
             stats: PeStats {
                 num_ius: cfg.num_ius,
+                // lint: allow-alloc(per-PE construction, once per simulation)
                 embeddings: vec![0; plans.len()],
                 ..PeStats::default()
             },
+            noc_latency: 0,
+            floor: 0,
+            iu_end: 0,
+            divider_cycles: 0,
+            collector_receives: 0,
+            data_done: 0,
+        };
+        Self {
             plans,
-            iu_free: vec![0; cfg.num_ius],
-            cfg,
             now: 0,
             finish: 0,
+            // lint: allow-alloc(per-PE construction; grows to the deepest tree, then is reused)
             stack: Vec::new(),
+            // lint: allow-alloc(per-PE construction; grows to the deepest tree, then is reused)
+            queue: Vec::new(),
+            interp: Interp::new(graph),
+            ius,
             live_bytes: 0,
-            avg_candidate_len: avg_deg,
+            avg_candidate_len: graph.avg_degree().max(1.0),
             spill_base: graph.total_bytes().next_multiple_of(64),
             spill_cursor: 0,
-            noc_latency: 0,
-            trace: Trace::with_capacity(cfg_trace),
+            // lint: allow-alloc(per-PE construction; the trace ring is sized once)
+            trace: Trace::with_capacity(cfg.trace_capacity),
+            cfg,
         }
     }
 
@@ -137,7 +231,7 @@ impl<'g> FingersPe<'g> {
     /// Sets this PE's one-way NoC latency to the shared cache (its mesh
     /// position's distance; see [`fingers_sim::MeshNoc`]).
     pub fn set_noc_latency(&mut self, latency: Cycle) {
-        self.noc_latency = latency;
+        self.ius.noc_latency = latency;
     }
 
     /// Pseudo-DFS group size: the minimum number of tasks estimated to fill
@@ -154,37 +248,32 @@ impl<'g> FingersPe<'g> {
         g.clamp(1, self.cfg.max_group_size)
     }
 
-    /// Issues the neighbor-list fetches of every task in `group` (the
+    /// Issues the neighbor-list fetches of every task in group `idx` (the
     /// pseudo-DFS "pop together, hits first" policy), then orders the tasks
     /// by data readiness.
-    fn fetch_group(&mut self, group_idx: usize, mem: &mut MemorySystem) {
-        let now = self.now.max(self.stack[group_idx].not_before);
-        let group = &mut self.stack[group_idx];
-        let mut order: Vec<usize> = (0..group.tasks.len()).collect();
-        group.ready.clear();
-        for t in &group.tasks {
-            let v = t.mapped[t.level];
+    fn fetch_group(&mut self, idx: usize, mem: &mut MemorySystem) {
+        let group = &mut self.stack[idx];
+        let now = self.now.max(group.not_before);
+        let tasks = &mut self.queue[group.start..group.end];
+        for q in tasks.iter_mut() {
+            let v = q.task.vertex();
             let out = mem.fetch(
                 now,
-                self.graph.neighbor_list_addr(v),
-                self.graph.neighbor_list_bytes(v),
+                self.ius.graph.neighbor_list_addr(v),
+                self.ius.graph.neighbor_list_bytes(v),
             );
-            group.ready.push((
-                out.first_ready + self.noc_latency,
-                out.completion + self.noc_latency,
-            ));
+            q.ready = (
+                out.first_ready + self.ius.noc_latency,
+                out.completion + self.ius.noc_latency,
+            );
         }
-        let task_count = group.tasks.len();
-        // Execute ready tasks first while the others' fetches are in flight.
-        order.sort_by_key(|&i| group.ready[i].1);
-        let tasks = std::mem::take(&mut group.tasks);
-        let ready = std::mem::take(&mut group.ready);
-        group.tasks = order.iter().map(|&i| tasks[i].clone()).collect();
-        group.ready = order.iter().map(|&i| ready[i]).collect();
+        // Execute ready tasks first while the others' fetches are in flight
+        // (stable: ties keep candidate order).
+        tasks.sort_by_key(|q| q.ready.1);
         group.fetched = true;
         self.trace.record(TraceEvent::GroupFetch {
             cycle: now,
-            tasks: task_count,
+            tasks: tasks.len(),
         });
     }
 
@@ -192,328 +281,98 @@ impl<'g> FingersPe<'g> {
     /// embeddings. Returns the task's finish cycle.
     fn run_task(&mut self, task: Task, data: (Cycle, Cycle), mem: &mut MemorySystem) -> Cycle {
         let plan = self.plans[task.plan_idx];
-        let k = plan.pattern_size();
         let level = task.level;
-        let u = task.mapped[level];
-        let seg_cfg = self.cfg.segmented();
-        self.stats.tasks += 1;
+        self.ius.stats.tasks += 1;
 
-        let (first_ready, mut all_data_done) = data;
+        let (first_ready, all_data_done) = data;
         let compute_start = self.now.max(first_ready);
         if compute_start > self.now {
-            self.stats.stall_cycles += compute_start - self.now;
+            self.ius.stats.stall_cycles += compute_start - self.now;
         }
         self.trace.record(TraceEvent::TaskStart {
             cycle: compute_start,
             level,
-            vertex: u,
+            vertex: task.vertex(),
         });
-        let workloads_before = self.stats.workloads;
+        let workloads_before = self.ius.stats.workloads;
 
         // --- run the level's schedule ops with set-level parallelism ---
-        let streamed: Rc<Vec<Elem>> = Rc::new(self.graph.neighbors(u).to_vec());
-        let mut task_iu_end: Cycle = compute_start;
-        let mut divider_cycles: u64 = 0;
-        let mut collector_receives: u64 = 0;
-        let mut emitted: Vec<(usize, Rc<Vec<Elem>>)> = Vec::new();
-        // Dedup of identical computations ("identical, we only compute
-        // once"): key on operand identities + kind + clip bound.
-        let mut memo: Memo = HashMap::new();
-
-        for op in plan.actions_at(level) {
-            let target = op.target();
-            let bound = self.known_bound(plan, target, level, &task.mapped);
-            match *op {
-                PlanOp::Init { .. } => {
-                    let key = (Rc::as_ptr(&streamed) as usize, usize::MAX, 0, bound);
-                    let set = memo
-                        .entry(key)
-                        .or_insert_with(|| Rc::new(clip(&streamed, bound).to_vec()));
-                    emitted.push((target, Rc::clone(set)));
-                    // Aliasing the streamed list into the private cache is
-                    // free on the IUs; the fetch was already charged.
-                }
-                PlanOp::InitAnti { short, .. } => {
-                    let short_list = self.fetch_ancestor_list(
-                        task.mapped[short],
-                        compute_start,
-                        &mut all_data_done,
-                        mem,
-                    );
-                    let key = (Rc::as_ptr(&short_list) as usize, u as usize, 1, bound);
-                    let set = match memo.get(&key) {
-                        Some(s) => Rc::clone(s),
-                        None => {
-                            let out = segmented::execute(
-                                SetOpKind::AntiSubtract,
-                                clip(&short_list, bound),
-                                clip(&streamed, bound),
-                                &seg_cfg,
-                            );
-                            let r = Rc::new(self.schedule_op(
-                                &out,
-                                compute_start,
-                                &mut task_iu_end,
-                                &mut divider_cycles,
-                                &mut collector_receives,
-                            ));
-                            memo.insert(key, Rc::clone(&r));
-                            r
-                        }
-                    };
-                    emitted.push((target, set));
-                }
-                PlanOp::Apply { list, kind, .. } => {
-                    let short = self.current_set(&task, &emitted, target);
-                    let long: Rc<Vec<Elem>> = if list == level {
-                        Rc::clone(&streamed)
-                    } else {
-                        self.fetch_ancestor_list(
-                            task.mapped[list],
-                            compute_start,
-                            &mut all_data_done,
-                            mem,
-                        )
-                    };
-                    let key = (
-                        Rc::as_ptr(&short) as usize,
-                        Rc::as_ptr(&long) as usize,
-                        2 + kind as u8,
-                        bound,
-                    );
-                    let set = match memo.get(&key) {
-                        Some(s) => Rc::clone(s),
-                        None => {
-                            let out = segmented::execute(
-                                kind,
-                                clip(&short, bound),
-                                clip(&long, bound),
-                                &seg_cfg,
-                            );
-                            let r = Rc::new(self.schedule_op(
-                                &out,
-                                compute_start,
-                                &mut task_iu_end,
-                                &mut divider_cycles,
-                                &mut collector_receives,
-                            ));
-                            memo.insert(key, Rc::clone(&r));
-                            r
-                        }
-                    };
-                    emitted.push((target, set));
-                }
-            }
-        }
+        self.ius.floor = compute_start;
+        self.ius.iu_end = compute_start;
+        self.ius.divider_cycles = 0;
+        self.ius.collector_receives = 0;
+        self.ius.data_done = all_data_done;
+        self.interp.run_ops(plan, &task, &mut self.ius, mem);
 
         // --- task timing: IU drain vs divider vs collector serial ---
-        let divider_stage = divider_cycles.div_ceil(self.cfg.num_dividers.max(1) as u64);
+        let divider_stage = self
+            .ius
+            .divider_cycles
+            .div_ceil(self.cfg.num_dividers.max(1) as u64);
         let divider_end = compute_start + divider_stage;
-        let collector_end = compute_start + collector_receives;
+        let collector_end = compute_start + self.ius.collector_receives;
         // The 5-stage macro pipeline overlaps the fixed stage latencies with
         // compute; the overhead only shows when the task is tiny.
-        let task_end = task_iu_end
+        let task_end = self
+            .ius
+            .iu_end
             .max(divider_end)
             .max(collector_end)
-            .max(all_data_done)
+            .max(self.ius.data_done)
             .max(compute_start + self.cfg.pipeline_overhead);
         // The front end moves on as soon as this task's workloads are
         // dispatched; the IU array drains behind it, so sibling tasks
         // pipeline across the macro stages.
         self.now = compute_start + divider_stage.max(self.cfg.pipeline_overhead);
         self.finish = self.finish.max(task_end);
-        self.stats.cycles = self.finish;
+        self.ius.stats.cycles = self.finish;
 
         // --- spawn children or count embeddings ---
-        let next = level + 1;
-        let final_set: Option<Rc<Vec<Elem>>> = emitted
-            .iter()
-            .rev()
-            .find(|(t, _)| *t == next)
-            .map(|(_, s)| Rc::clone(s))
-            .or_else(|| task.frame.as_ref().and_then(|f| f.lookup(next)));
-        // §11: verified plans materialize S_{level+1} before it is read
-        // (fingers-verify's use-before-init check); a miss is a plan bug.
-        #[allow(clippy::expect_used)]
-        let final_set = final_set.expect("schedule materializes S_{level+1}");
-        let full_bound = self.known_bound(plan, next, level, &task.mapped);
-        let candidates: Vec<VertexId> = clip(&final_set, full_bound)
-            .iter()
-            .copied()
-            .filter(|c| !task.mapped.contains(c))
-            .collect();
-
-        let children = if next == k - 1 {
-            self.stats.embeddings[task.plan_idx] += candidates.len() as u64;
+        let candidates = self.interp.find_candidates(plan, &task);
+        let children = if level + 2 == plan.pattern_size() {
+            self.ius.stats.embeddings[task.plan_idx] += candidates as u64;
             0
         } else {
-            let n = candidates.len();
-            if n > 0 {
-                self.spawn_children(&task, emitted, candidates, mem, task_end);
-            }
-            n
+            candidates
         };
+        if children > 0 {
+            self.spawn_children(&task, mem, task_end);
+        }
         self.trace.record(TraceEvent::TaskRetire {
             cycle: task_end,
             level,
-            workloads: self.stats.workloads - workloads_before,
+            workloads: self.ius.stats.workloads - workloads_before,
             children,
         });
         task_end
     }
 
-    /// Schedules one op's IU workloads greedily onto the earliest-free IUs,
-    /// recording busy time and the Table 3 balance accounting. Returns the
-    /// op's functional result.
-    fn schedule_op(
-        &mut self,
-        out: &segmented::SegmentedOutcome,
-        floor: Cycle,
-        task_iu_end: &mut Cycle,
-        divider_cycles: &mut u64,
-        collector_receives: &mut u64,
-    ) -> Vec<Elem> {
-        self.stats.set_ops += 1;
-        self.stats.workloads += out.workload_cycles.len() as u64;
-        *divider_cycles += out.divider_cycles;
-        *collector_receives += out.collector_receives;
-
-        let mut used: Vec<usize> = Vec::new();
-        let mut load_start = Cycle::MAX;
-        let mut load_end = 0;
-        for &cycles in &out.workload_cycles {
-            // §11: PeConfig validates iu_count >= 1 at construction, so
-            // iu_free is never empty; an empty pool is a config-path bug.
-            #[allow(clippy::expect_used)]
-            let (idx, _) = self
-                .iu_free
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &f)| f)
-                .expect("at least one IU");
-            let start = self.iu_free[idx].max(floor);
-            self.iu_free[idx] = start + cycles;
-            self.stats.iu_busy_cycles += cycles;
-            load_start = load_start.min(start);
-            load_end = load_end.max(self.iu_free[idx]);
-            *task_iu_end = (*task_iu_end).max(self.iu_free[idx]);
-            if !used.contains(&idx) {
-                used.push(idx);
-            }
-        }
-        if !used.is_empty() {
-            let busy: u64 = out.workload_cycles.iter().sum();
-            self.stats.balance_busy += busy;
-            self.stats.balance_span += (load_end - load_start) * used.len() as u64;
-        }
-        out.result.clone()
-    }
-
-    /// Looks up the current value of `S_target` — first among this task's
-    /// freshly emitted sets, then in the inherited frames.
-    // §11: verified plans never read a set before its Init/InitAnti ran
-    // (fingers-verify's use-before-init check); a miss is a plan bug.
-    #[allow(clippy::expect_used)]
-    fn current_set(
-        &self,
-        task: &Task,
-        emitted: &[(usize, Rc<Vec<Elem>>)],
-        target: usize,
-    ) -> Rc<Vec<Elem>> {
-        emitted
-            .iter()
-            .rev()
-            .find(|(t, _)| *t == target)
-            .map(|(_, s)| Rc::clone(s))
-            .or_else(|| task.frame.as_ref().and_then(|f| f.lookup(target)))
-            .expect("Apply requires a materialized set")
-    }
-
-    /// Fetches an ancestor's neighbor list (postponed anti-subtraction
-    /// operands); usually a shared-cache hit since it streamed recently.
-    fn fetch_ancestor_list(
-        &mut self,
-        v: VertexId,
-        at: Cycle,
-        all_data_done: &mut Cycle,
-        mem: &mut MemorySystem,
-    ) -> Rc<Vec<Elem>> {
-        let out = mem.fetch(
-            at,
-            self.graph.neighbor_list_addr(v),
-            self.graph.neighbor_list_bytes(v),
-        );
-        *all_data_done = (*all_data_done).max(out.completion + self.noc_latency);
-        Rc::new(self.graph.neighbors(v).to_vec())
-    }
-
-    /// The largest already-known symmetry-breaking lower bound for level
-    /// `target` (restrictions whose smaller side is mapped).
-    fn known_bound(
-        &self,
-        plan: &ExecutionPlan,
-        target: usize,
-        level: usize,
-        mapped: &[VertexId],
-    ) -> Option<Elem> {
-        plan.schedule(target)
-            .lower_bounds
-            .iter()
-            .filter(|&&a| a <= level)
-            .map(|&a| mapped[a])
-            .max()
-    }
-
-    /// Groups `candidates` into pseudo-DFS task groups and pushes them.
-    fn spawn_children(
-        &mut self,
-        task: &Task,
-        emitted: Vec<(usize, Rc<Vec<Elem>>)>,
-        candidates: Vec<VertexId>,
-        mem: &mut MemorySystem,
-        now: Cycle,
-    ) {
+    /// Keeps `task`'s emissions as a frame and pushes its candidates as
+    /// pseudo-DFS task groups.
+    fn spawn_children(&mut self, task: &Task, mem: &mut MemorySystem, now: Cycle) {
+        let candidates = self.interp.candidates();
         // Update the running candidate-length estimate for group sizing.
         self.avg_candidate_len = 0.9 * self.avg_candidate_len + 0.1 * candidates.len() as f64;
 
-        let frame = Frame::new(task.frame.clone(), emitted);
-        let frame_bytes = frame.bytes();
-        self.charge_private_cache(frame_bytes, mem, now);
+        let frame = self.interp.frames.retain(task.frame, self.stack.len());
+        self.charge_private_cache(self.interp.frames.bytes(frame), mem, now);
 
-        let g = self.group_size();
-        let next = task.level + 1;
-        let mut groups: Vec<Group> = Vec::new();
-        for chunk in candidates.chunks(g) {
-            let tasks = chunk
-                .iter()
-                .map(|&c| {
-                    let mut mapped = (*task.mapped).clone();
-                    mapped.push(c);
-                    Task {
-                        plan_idx: task.plan_idx,
-                        level: next,
-                        mapped: Rc::new(mapped),
-                        frame: Some(Rc::clone(&frame)),
-                    }
-                })
-                .collect();
-            self.stats.groups += 1;
-            self.stats.group_tasks_sum += chunk.len() as u64;
-            groups.push(Group {
-                tasks,
-                ready: Vec::new(),
+        // Push in reverse so the first chunk is executed first (DFS).
+        for chunk in self.interp.candidates().chunks(self.group_size()).rev() {
+            let start = self.queue.len();
+            self.queue.extend(chunk.iter().map(|&c| Queued {
+                task: task.child(c, frame),
+                ready: (0, 0),
+            }));
+            self.ius.stats.groups += 1;
+            self.ius.stats.group_tasks_sum += chunk.len() as u64;
+            self.stack.push(Group {
+                start,
+                end: self.queue.len(),
+                next: start,
                 fetched: false,
-                next: 0,
-                release_bytes: 0,
                 not_before: now,
             });
-        }
-        if let Some(last) = groups.last_mut() {
-            last.release_bytes = frame_bytes;
-        }
-        // Push in reverse so the first chunk is executed first (DFS).
-        for gr in groups.into_iter().rev() {
-            self.stack.push(gr);
         }
     }
 
@@ -524,7 +383,7 @@ impl<'g> FingersPe<'g> {
         self.live_bytes += bytes;
         if self.live_bytes > capacity {
             let overflow = self.live_bytes - capacity.max(before);
-            self.stats.spill_bytes += overflow;
+            self.ius.stats.spill_bytes += overflow;
             self.trace.record(TraceEvent::Spill {
                 cycle: now,
                 bytes: overflow,
@@ -538,16 +397,7 @@ impl<'g> FingersPe<'g> {
 
     /// Immutable view of the accumulated statistics.
     pub fn stats(&self) -> &PeStats {
-        &self.stats
-    }
-}
-
-/// Returns the suffix of `set` strictly above `bound` (symmetry-breaking
-/// clip; sound on partial sets because later ops only remove elements).
-fn clip(set: &[Elem], bound: Option<Elem>) -> &[Elem] {
-    match bound {
-        Some(b) => &set[set.partition_point(|&x| x <= b)..],
-        None => set,
+        &self.ius.stats
     }
 }
 
@@ -567,53 +417,49 @@ impl PeModel for FingersPe<'_> {
     fn start_tree(&mut self, root: VertexId) {
         // One level-0 task per plan, in one group: multi-pattern trunks
         // share the root's neighbor-list fetch (Section 4, multi-pattern).
-        let tasks = (0..self.plans.len())
-            .map(|plan_idx| Task {
-                plan_idx,
-                level: 0,
-                mapped: Rc::new(vec![root]),
-                frame: None,
-            })
-            .collect();
+        let start = self.queue.len();
+        self.queue
+            .extend((0..self.plans.len()).map(|plan_idx| Queued {
+                task: Task::root(plan_idx, root),
+                ready: (0, 0),
+            }));
         self.stack.push(Group {
-            tasks,
-            ready: Vec::new(),
+            start,
+            end: self.queue.len(),
+            next: start,
             fetched: false,
-            next: 0,
-            release_bytes: 0,
             not_before: 0,
         });
     }
 
     fn step(&mut self, mem: &mut MemorySystem) {
-        // Find the next task: drop exhausted groups.
+        // Find the next task: drop exhausted groups, and with the last
+        // child group of a task the frame (and private-cache bytes) its
+        // subtree was reading.
         while let Some(top) = self.stack.last() {
-            if top.next >= top.tasks.len() {
-                // §11: `top` was just observed via stack.last(), so the pop
-                // cannot miss; a miss would mean concurrent mutation.
-                #[allow(clippy::expect_used)]
-                let done = self.stack.pop().expect("non-empty");
-                self.live_bytes = self.live_bytes.saturating_sub(done.release_bytes);
-                continue;
+            if top.next < top.end {
+                break;
             }
-            break;
+            self.queue.truncate(top.start);
+            self.stack.pop();
+            let released = self.interp.frames.release(self.stack.len());
+            self.live_bytes = self.live_bytes.saturating_sub(released);
         }
-        let Some(top_idx) = self.stack.len().checked_sub(1) else {
+        let Some(top) = self.stack.len().checked_sub(1) else {
             return;
         };
-        if !self.stack[top_idx].fetched {
-            self.fetch_group(top_idx, mem);
+        if !self.stack[top].fetched {
+            self.fetch_group(top, mem);
         }
-        let group = &mut self.stack[top_idx];
-        let task = group.tasks[group.next].clone();
-        let data = group.ready[group.next];
+        let group = &mut self.stack[top];
+        let Queued { task, ready } = self.queue[group.next];
         group.next += 1;
-        self.run_task(task, data, mem);
+        self.run_task(task, ready, mem);
     }
 
     fn take_stats(&mut self) -> PeStats {
-        self.stats.cycles = self.now;
-        std::mem::take(&mut self.stats)
+        self.ius.stats.cycles = self.now;
+        std::mem::take(&mut self.ius.stats)
     }
 }
 

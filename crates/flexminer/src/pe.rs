@@ -1,12 +1,12 @@
 //! The FlexMiner PE: serial DFS walker with a single merge unit.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+// lint: hot-path(alloc)
 
 use fingers_core::chip::PeModel;
+use fingers_core::interp::{Interp, OpModel, Task};
 use fingers_core::stats::{ChipReport, PeStats};
 use fingers_graph::{CsrGraph, VertexId};
-use fingers_pattern::{ExecutionPlan, MultiPlan, PlanOp};
+use fingers_pattern::{ExecutionPlan, MultiPlan};
 use fingers_setops::{merge, Elem, SetOpKind};
 use fingers_sim::{Cycle, MemoryConfig, MemorySystem, SetAssocCache, MEM_SCALE};
 use serde::{Deserialize, Serialize};
@@ -76,69 +76,22 @@ impl FlexMinerChipConfig {
     }
 }
 
-/// Memoization key for identical in-task computations: operand
-/// identities, operation discriminant, and symmetry-breaking clip bound.
-type MemoKey = (usize, usize, u8, Option<Elem>);
-type Memo = HashMap<MemoKey, Rc<Vec<Elem>>>;
-
-/// One stack entry of the strict-DFS walk.
-#[derive(Debug, Clone)]
-struct Frame {
-    plan_idx: usize,
-    level: usize,
-    mapped: Rc<Vec<VertexId>>,
-    /// Candidate sets materialized so far, by target level (copy-on-extend;
-    /// k ≤ 10 so this stays tiny).
-    sets: Rc<Vec<Option<Rc<Vec<Elem>>>>>,
-}
-
-/// The FlexMiner PE simulation state.
+/// The merge unit behind its private cache: the [`OpModel`] of a FlexMiner
+/// PE. Everything is serial, so its clock *is* the PE's clock.
 #[derive(Debug)]
-pub struct FlexMinerPe<'g> {
+struct MergeUnit<'g> {
     graph: &'g CsrGraph,
-    plans: Vec<&'g ExecutionPlan>,
     cfg: FlexMinerPeConfig,
     private: SetAssocCache,
-    now: Cycle,
-    stack: Vec<Frame>,
     stats: PeStats,
     noc_latency: Cycle,
+    /// The PE's clock: when the current task started.
+    now: Cycle,
+    /// When the current task's serial work so far ends.
+    t: Cycle,
 }
 
-impl<'g> FlexMinerPe<'g> {
-    /// Creates a PE executing `multi` on `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pattern has fewer than 2 vertices.
-    pub fn new(graph: &'g CsrGraph, multi: &'g MultiPlan, cfg: FlexMinerPeConfig) -> Self {
-        let plans: Vec<&ExecutionPlan> = multi.plans().iter().collect();
-        assert!(
-            plans.iter().all(|p| p.pattern_size() >= 2),
-            "patterns must have at least 2 vertices"
-        );
-        let private = SetAssocCache::new((cfg.private_cache_bytes / MEM_SCALE).max(1024), 64, 8);
-        Self {
-            graph,
-            stats: PeStats {
-                num_ius: 1,
-                embeddings: vec![0; plans.len()],
-                ..PeStats::default()
-            },
-            plans,
-            cfg,
-            private,
-            now: 0,
-            stack: Vec::new(),
-            noc_latency: 0,
-        }
-    }
-
-    /// Sets this PE's one-way NoC latency to the shared cache.
-    pub fn set_noc_latency(&mut self, latency: Cycle) {
-        self.noc_latency = latency;
-    }
-
+impl MergeUnit<'_> {
     /// Blocking fetch of a neighbor list through the private cache; missed
     /// lines go to the shared memory system.
     fn fetch_list(&mut self, v: VertexId, mem: &mut MemorySystem) -> Cycle {
@@ -160,189 +113,122 @@ impl<'g> FlexMinerPe<'g> {
         }
         done
     }
+}
 
-    /// Executes one DFS task (extend at `frame.level`): serial set ops on
-    /// the single merge unit, then push children in reverse order.
-    fn run_task(&mut self, frame: Frame, mem: &mut MemorySystem) {
-        let plan = self.plans[frame.plan_idx];
-        let k = plan.pattern_size();
-        let level = frame.level;
-        let u = frame.mapped[level];
-        self.stats.tasks += 1;
-
-        // Blocking fetch: the intrinsic DFS dependency stall of Section 2.3.
-        let data_done = self.fetch_list(u, mem);
-        if data_done > self.now {
-            self.stats.stall_cycles += data_done - self.now;
-        }
-        let mut t = self.now.max(data_done);
-
-        let streamed: Rc<Vec<Elem>> = Rc::new(self.graph.neighbors(u).to_vec());
-        let mut sets: Vec<Option<Rc<Vec<Elem>>>> = (*frame.sets).clone();
-        let mut memo: Memo = HashMap::new();
-
-        for op in plan.actions_at(level) {
-            let target = op.target();
-            let bound = known_bound(plan, target, level, &frame.mapped);
-            let result = match *op {
-                PlanOp::Init { .. } => {
-                    let key = (Rc::as_ptr(&streamed) as usize, usize::MAX, 0, bound);
-                    match memo.get(&key) {
-                        Some(s) => Rc::clone(s),
-                        None => {
-                            let r = Rc::new(clip(&streamed, bound).to_vec());
-                            memo.insert(key, Rc::clone(&r));
-                            r
-                        }
-                    }
-                }
-                PlanOp::InitAnti { short, .. } => {
-                    // The ancestor's list must be re-streamed for this op.
-                    let list_done = self.fetch_list(frame.mapped[short], mem);
-                    t = t.max(list_done);
-                    let short_list = Rc::new(self.graph.neighbors(frame.mapped[short]).to_vec());
-                    let key = (Rc::as_ptr(&short_list) as usize, u as usize, 1, bound);
-                    self.serial_op(
-                        &mut memo,
-                        key,
-                        SetOpKind::AntiSubtract,
-                        clip(&short_list, bound),
-                        clip(&streamed, bound),
-                        &mut t,
-                    )
-                }
-                PlanOp::Apply { list, kind, .. } => {
-                    // §11: verified plans never Apply to a target before
-                    // its base op ran (fingers-verify's use-before-init
-                    // check); a miss is a plan bug, not a runtime error.
-                    #[allow(clippy::expect_used)] // §11: justified above
-                    let short = sets[target]
-                        .as_ref()
-                        .map(Rc::clone)
-                        .expect("Apply requires a materialized set");
-                    let long: Rc<Vec<Elem>> = if list == level {
-                        Rc::clone(&streamed)
-                    } else {
-                        let list_done = self.fetch_list(frame.mapped[list], mem);
-                        t = t.max(list_done);
-                        Rc::new(self.graph.neighbors(frame.mapped[list]).to_vec())
-                    };
-                    // Streaming the long operand again for this op: the
-                    // private cache decides whether it is on chip.
-                    if list == level {
-                        let done = self.fetch_list(u, mem);
-                        t = t.max(done);
-                    }
-                    let key = (
-                        Rc::as_ptr(&short) as usize,
-                        Rc::as_ptr(&long) as usize,
-                        2 + kind as u8,
-                        bound,
-                    );
-                    self.serial_op(
-                        &mut memo,
-                        key,
-                        kind,
-                        clip(&short, bound),
-                        clip(&long, bound),
-                        &mut t,
-                    )
-                }
-            };
-            sets[target] = Some(result);
-        }
-
-        t += self.cfg.pipeline_overhead;
-        self.now = self.now.max(t);
-        self.stats.cycles = self.now;
-
-        // Candidates for the next level.
-        let next = level + 1;
-        // §11: verified plans materialize S_{next} at some level <= level
-        // (fingers-verify's materialization check); a miss is a plan bug.
-        #[allow(clippy::expect_used)]
-        let final_set = sets[next].as_ref().expect("S_{next} materialized");
-        let full_bound = known_bound(plan, next, level, &frame.mapped);
-        let candidates: Vec<VertexId> = clip(final_set, full_bound)
-            .iter()
-            .copied()
-            .filter(|c| !frame.mapped.contains(c))
-            .collect();
-
-        if next == k - 1 {
-            self.stats.embeddings[frame.plan_idx] += candidates.len() as u64;
-        } else {
-            let sets = Rc::new(sets);
-            // Strict DFS: push children in reverse so the smallest-ID
-            // candidate is explored first.
-            for &c in candidates.iter().rev() {
-                let mut mapped = (*frame.mapped).clone();
-                mapped.push(c);
-                self.stack.push(Frame {
-                    plan_idx: frame.plan_idx,
-                    level: next,
-                    mapped: Rc::new(mapped),
-                    sets: Rc::clone(&sets),
-                });
-            }
-        }
+impl OpModel for MergeUnit<'_> {
+    /// Every operand list is streamed again for its op — an ancestor's, or
+    /// the task's own once more; the private cache decides whether it is
+    /// on chip.
+    fn stream_operand(&mut self, v: VertexId, _streamed: bool, mem: &mut MemorySystem) {
+        let done = self.fetch_list(v, mem);
+        self.t = self.t.max(done);
     }
 
     /// One serial merge-unit operation: one element per cycle over both
-    /// inputs, memoized for identical operand pairs.
-    fn serial_op(
-        &mut self,
-        memo: &mut Memo,
-        key: MemoKey,
-        kind: SetOpKind,
-        short: &[Elem],
-        long: &[Elem],
-        t: &mut Cycle,
-    ) -> Rc<Vec<Elem>> {
-        if let Some(s) = memo.get(&key) {
-            return Rc::clone(s);
-        }
+    /// inputs.
+    fn execute(&mut self, kind: SetOpKind, short: &[Elem], long: &[Elem], out: &mut Vec<Elem>) {
         let cycles = merge::merge_steps(kind, short, long).max(1);
-        *t += cycles;
+        self.t += cycles;
         self.stats.iu_busy_cycles += cycles;
         self.stats.balance_busy += cycles;
         self.stats.balance_span += cycles;
         self.stats.set_ops += 1;
         self.stats.workloads += 1;
-        let r = Rc::new(merge::apply(kind, short, long));
-        memo.insert(key, Rc::clone(&r));
-        r
+        merge::apply_into(kind, short, long, out);
     }
 }
 
-fn clip(set: &[Elem], bound: Option<Elem>) -> &[Elem] {
-    match bound {
-        Some(b) => &set[set.partition_point(|&x| x <= b)..],
-        None => set,
-    }
+/// The FlexMiner PE simulation state.
+#[derive(Debug)]
+pub struct FlexMinerPe<'g> {
+    plans: Vec<&'g ExecutionPlan>,
+    /// The strict-DFS walk: tasks still to run, next on top.
+    stack: Vec<Task>,
+    interp: Interp<'g>,
+    unit: MergeUnit<'g>,
 }
 
-fn known_bound(
-    plan: &ExecutionPlan,
-    target: usize,
-    level: usize,
-    mapped: &[VertexId],
-) -> Option<Elem> {
-    plan.schedule(target)
-        .lower_bounds
-        .iter()
-        .filter(|&&a| a <= level)
-        .map(|&a| mapped[a])
-        .max()
+impl<'g> FlexMinerPe<'g> {
+    /// Creates a PE executing `multi` on `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any pattern has fewer than 2 vertices.
+    pub fn new(graph: &'g CsrGraph, multi: &'g MultiPlan, cfg: FlexMinerPeConfig) -> Self {
+        // lint: allow-alloc(per-PE construction, once per simulation)
+        let plans: Vec<&ExecutionPlan> = multi.plans().iter().collect();
+        assert!(
+            plans.iter().all(|p| p.pattern_size() >= 2),
+            "patterns must have at least 2 vertices"
+        );
+        let private = SetAssocCache::new((cfg.private_cache_bytes / MEM_SCALE).max(1024), 64, 8);
+        Self {
+            unit: MergeUnit {
+                graph,
+                stats: PeStats {
+                    num_ius: 1,
+                    // lint: allow-alloc(per-PE construction, once per simulation)
+                    embeddings: vec![0; plans.len()],
+                    ..PeStats::default()
+                },
+                cfg,
+                private,
+                noc_latency: 0,
+                now: 0,
+                t: 0,
+            },
+            plans,
+            // lint: allow-alloc(per-PE construction; grows to the deepest tree, then is reused)
+            stack: Vec::new(),
+            interp: Interp::new(graph),
+        }
+    }
+
+    /// Sets this PE's one-way NoC latency to the shared cache.
+    pub fn set_noc_latency(&mut self, latency: Cycle) {
+        self.unit.noc_latency = latency;
+    }
+
+    /// Executes one DFS task (extend at `task.level`): serial set ops on
+    /// the single merge unit, then push children in reverse order.
+    fn run_task(&mut self, task: Task, mem: &mut MemorySystem) {
+        let plan = self.plans[task.plan_idx];
+        let unit = &mut self.unit;
+        unit.stats.tasks += 1;
+
+        // Blocking fetch: the intrinsic DFS dependency stall of Section 2.3.
+        let data_done = unit.fetch_list(task.vertex(), mem);
+        if data_done > unit.now {
+            unit.stats.stall_cycles += data_done - unit.now;
+        }
+        unit.t = unit.now.max(data_done);
+        self.interp.run_ops(plan, &task, unit, mem);
+        unit.t += unit.cfg.pipeline_overhead;
+        unit.now = unit.now.max(unit.t);
+        unit.stats.cycles = unit.now;
+
+        let candidates = self.interp.find_candidates(plan, &task);
+        if task.level + 2 == plan.pattern_size() {
+            unit.stats.embeddings[task.plan_idx] += candidates as u64;
+        } else if candidates > 0 {
+            let frame = self.interp.frames.retain(task.frame, self.stack.len());
+            // Strict DFS: push children in reverse so the smallest-ID
+            // candidate is explored first.
+            let children = self.interp.candidates().iter().rev();
+            self.stack.extend(children.map(|&c| task.child(c, frame)));
+        }
+        // Frames whose last descendant just finished are done.
+        self.interp.frames.release(self.stack.len());
+    }
 }
 
 impl PeModel for FlexMinerPe<'_> {
     fn now(&self) -> Cycle {
-        self.now
+        self.unit.now
     }
 
     fn set_now(&mut self, c: Cycle) {
-        self.now = self.now.max(c);
+        self.unit.now = self.unit.now.max(c);
     }
 
     fn has_work(&self) -> bool {
@@ -350,26 +236,20 @@ impl PeModel for FlexMinerPe<'_> {
     }
 
     fn start_tree(&mut self, root: VertexId) {
-        for plan_idx in (0..self.plans.len()).rev() {
-            let k = self.plans[plan_idx].pattern_size();
-            self.stack.push(Frame {
-                plan_idx,
-                level: 0,
-                mapped: Rc::new(vec![root]),
-                sets: Rc::new(vec![None; k]),
-            });
-        }
+        let plans = (0..self.plans.len()).rev();
+        self.stack
+            .extend(plans.map(|plan_idx| Task::root(plan_idx, root)));
     }
 
     fn step(&mut self, mem: &mut MemorySystem) {
-        if let Some(frame) = self.stack.pop() {
-            self.run_task(frame, mem);
+        if let Some(task) = self.stack.pop() {
+            self.run_task(task, mem);
         }
     }
 
     fn take_stats(&mut self) -> PeStats {
-        self.stats.cycles = self.now;
-        std::mem::take(&mut self.stats)
+        self.unit.stats.cycles = self.unit.now;
+        std::mem::take(&mut self.unit.stats)
     }
 }
 
@@ -383,10 +263,12 @@ pub fn simulate_flexminer(
     let noc = fingers_sim::MeshNoc::for_pes(config.num_pes, config.noc_per_hop, config.noc_base);
     let mut pes: Vec<FlexMinerPe> = (0..config.num_pes)
         .map(|i| {
+            // lint: allow-alloc(chip construction, once per simulation)
             let mut pe = FlexMinerPe::new(graph, multi, config.pe.clone());
             pe.set_noc_latency(noc.pe_latency(i));
             pe
         })
+        // lint: allow-alloc(chip construction, once per simulation)
         .collect();
     fingers_core::chip::run_chip_with_roots(
         pes.as_mut_slice(),

@@ -8,33 +8,39 @@
 //! - for intersection and anti-subtraction, one bit per element of the
 //!   *long* segment (1 = present in the intersection);
 //! - for subtraction, one bit per element of each *short* segment
-//!   (1 = present in the intersection), padded with 1s.
+//!   (1 = present in the intersection).
+//!
+//! The model keeps the bitvectors of all segments of the annotated set in
+//! one reusable word array ([`SegBitvecs`]): an IU's emission is the run of
+//! bits it sets, and the collector's bitwise OR of several IUs' results for
+//! one segment is those IUs setting bits of the same words.
 
-use serde::{Deserialize, Serialize};
+// lint: hot-path(alloc)
 
 use crate::merge::merge_cycles;
 use crate::Elem;
 use crate::SetOpKind;
 
-/// A result bitvector over one segment. The paper's segments are 16 and 4
-/// elements; iso-area sweeps stretch segments to several hundred, so the
-/// storage is a small word array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SegBitvec {
+/// The result bitvectors of every segment of one set, back to back: bit
+/// `p` annotates the set's `p`-th element, so segment `i` of length `s`
+/// owns bits `[i·s, (i+1)·s)`. The paper's segments are 16 and 4 elements;
+/// iso-area sweeps stretch segments to several hundred, and nothing here
+/// depends on the segment length.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SegBitvecs {
     words: Vec<u64>,
     len: usize,
 }
 
-impl SegBitvec {
-    /// All-zeros bitvector of the given length.
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
+impl SegBitvecs {
+    /// Resets to `len` zero bits, keeping the word storage.
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
     }
 
-    /// Sets bit `i`.
+    /// Sets bit `i` (OR-ing into whatever other IUs already reported).
     ///
     /// # Panics
     ///
@@ -54,12 +60,12 @@ impl SegBitvec {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Length in bits (= elements of the associated segment).
+    /// Length in bits (= elements of the annotated set).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the bitvector has zero length.
+    /// Whether there are zero bits.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -69,112 +75,81 @@ impl SegBitvec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Bitwise OR with another result for the *same* segment — the paper's
-    /// unified aggregation rule for all three operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ (different segments).
-    pub fn or_assign(&mut self, other: &SegBitvec) {
-        assert_eq!(self.len, other.len, "OR across different segments");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
+    /// The backing words, 64 elements each (unused high bits are zero).
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 
-/// Identifies which side's segment a bitvector annotates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// Identifies which side's segments the bitvectors annotate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentSide {
-    /// A segment of the long set (neighbor list).
+    /// Segments of the long set (neighbor list).
     Long,
-    /// A segment of the short set (candidate vertex set).
+    /// Segments of the short set (candidate vertex set).
     Short,
 }
 
-/// One `(segment, bitvector)` result emitted by an IU toward the result
-/// collector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IuEmission {
-    /// Which side the segment belongs to (long for ∩/anti−, short for −).
-    pub side: SegmentSide,
-    /// Segment index within its set.
-    pub seg_idx: usize,
-    /// Presence-in-intersection bitvector over that segment.
-    pub bitvec: SegBitvec,
-}
-
-/// Result of executing one IU workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IuOutput {
-    /// Emissions toward the result collector.
-    pub emissions: Vec<IuEmission>,
-    /// Busy cycles: one element consumed per cycle over the long segment
-    /// and all paired short segments (the paper's `s_l + Σ s_s ≈ 28`
-    /// estimate for a long segment with two or three shorts).
-    pub cycles: u64,
+impl SegmentSide {
+    /// The side `kind`'s results annotate: long for ∩ and anti−, short
+    /// for −.
+    pub fn annotated_by(kind: SetOpKind) -> Self {
+        match kind {
+            SetOpKind::Intersect | SetOpKind::AntiSubtract => SegmentSide::Long,
+            SetOpKind::Subtract => SegmentSide::Short,
+        }
+    }
 }
 
 /// Executes one IU workload: one long segment against a run of consecutive
-/// short segments (`shorts` are `(short_idx, elements)` pairs, consecutive
-/// and in order, so their concatenation is sorted).
+/// short segments, given concatenated as `shorts` (consecutive and in
+/// order, so the concatenation is sorted). `long_base` and `short_base`
+/// are the positions of `long_seg[0]` and `shorts[0]` within their sets.
 ///
-/// Regardless of `kind`, the hardware computes the intersection; `kind`
-/// only selects which side's segments the bitvectors annotate.
-///
-/// # Panics
-///
-/// Panics if a segment is longer than 64 elements.
+/// Whatever the operation, the hardware computes the intersection; `side`
+/// only selects whose bits mark it. Returns the busy cycles: one element
+/// consumed per cycle over the long segment and all paired short segments
+/// (the paper's `s_l + Σ s_s ≈ 28` estimate for a long segment with two or
+/// three shorts).
 pub fn iu_execute(
-    kind: SetOpKind,
-    long_idx: usize,
+    side: SegmentSide,
     long_seg: &[Elem],
-    shorts: &[(usize, &[Elem])],
-) -> IuOutput {
-    let short_total: usize = shorts.iter().map(|(_, s)| s.len()).sum();
-    let cycles = merge_cycles(long_seg.len(), short_total);
-
-    let mut emissions = Vec::new();
-    match kind {
-        SetOpKind::Intersect | SetOpKind::AntiSubtract => {
-            let mut bv = SegBitvec::zeros(long_seg.len());
-            for (p, &x) in long_seg.iter().enumerate() {
-                if shorts.iter().any(|(_, s)| s.binary_search(&x).is_ok()) {
-                    bv.set(p);
-                }
-            }
-            emissions.push(IuEmission {
-                side: SegmentSide::Long,
-                seg_idx: long_idx,
-                bitvec: bv,
-            });
-        }
-        SetOpKind::Subtract => {
-            for &(short_idx, seg) in shorts {
-                let mut bv = SegBitvec::zeros(seg.len());
-                for (p, &x) in seg.iter().enumerate() {
-                    if long_seg.binary_search(&x).is_ok() {
-                        bv.set(p);
-                    }
-                }
-                emissions.push(IuEmission {
-                    side: SegmentSide::Short,
-                    seg_idx: short_idx,
-                    bitvec: bv,
+    long_base: usize,
+    shorts: &[Elem],
+    short_base: usize,
+    bits: &mut SegBitvecs,
+) -> u64 {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(l), Some(s)) = (long_seg.get(i), shorts.get(j)) {
+        match l.cmp(s) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                bits.set(match side {
+                    SegmentSide::Long => long_base + i,
+                    SegmentSide::Short => short_base + j,
                 });
+                i += 1;
+                j += 1;
             }
         }
     }
-    IuOutput { emissions, cycles }
+    merge_cycles(long_seg.len(), shorts.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bits(len: usize) -> SegBitvecs {
+        let mut b = SegBitvecs::default();
+        b.reset(len);
+        b
+    }
+
     #[test]
     fn bitvec_set_get_count() {
-        let mut bv = SegBitvec::zeros(4);
+        let mut bv = bits(4);
         assert_eq!(bv.count_ones(), 0);
         bv.set(0);
         bv.set(3);
@@ -183,82 +158,85 @@ mod tests {
     }
 
     #[test]
-    fn bitvec_or_merges_results() {
-        let mut a = SegBitvec::zeros(4);
-        a.set(0);
-        let mut b = SegBitvec::zeros(4);
-        b.set(2);
-        a.or_assign(&b);
-        assert!(a.get(0) && a.get(2));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different segments")]
-    fn bitvec_or_rejects_length_mismatch() {
-        let mut a = SegBitvec::zeros(4);
-        a.or_assign(&SegBitvec::zeros(3));
+    fn reset_clears_and_resizes() {
+        let mut bv = bits(70);
+        bv.set(69);
+        bv.reset(3);
+        assert_eq!((bv.len(), bv.count_ones(), bv.words().len()), (3, 0, 1));
+        assert!(!bv.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bitvec_set_bounds_checked() {
-        SegBitvec::zeros(2).set(2);
+        bits(2).set(2);
     }
 
     /// The paper's Figure 8 subtraction example: long segment
     /// [1, 3, 4, 5, 7, 8, 9, 12] against short segment [1, 7, 11, 18]
-    /// produces bitvector 1 1 0 0 (1 and 7 present, 11 and 18 absent).
+    /// produces bitvector 1 1 0 0 (1 and 7 present, 11 and 18 absent); the
+    /// second long segment [13, 15, 18, 22] marks only 18 → 0 0 0 1 over
+    /// the same short segment. Both IUs set bits of one word, which is the
+    /// collector's OR: 1100 | 0001 = 1101, and the surviving (0-bit)
+    /// element is 11 — the paper's final answer.
     #[test]
-    fn figure_8_subtraction_bitvector() {
-        let long = [1, 3, 4, 5, 7, 8, 9, 12];
+    fn figure_8_subtraction_bitvectors() {
         let short = [1, 7, 11, 18];
-        let out = iu_execute(SetOpKind::Subtract, 0, &long, &[(0, &short)]);
-        assert_eq!(out.emissions.len(), 1);
-        let bv = &out.emissions[0].bitvec;
+        let mut bv = bits(4);
+        iu_execute(
+            SegmentSide::Short,
+            &[1, 3, 4, 5, 7, 8, 9, 12],
+            0,
+            &short,
+            0,
+            &mut bv,
+        );
         assert!(bv.get(0) && bv.get(1) && !bv.get(2) && !bv.get(3));
-        assert_eq!(out.emissions[0].side, SegmentSide::Short);
-    }
-
-    /// Figure 8 continued: the second long segment [13, 15, 18, 22] marks
-    /// only 18 → bitvector 0 0 0 1 over the same short segment; the
-    /// collector will OR 1100 | 0001 = 1101, and the surviving (0-bit)
-    /// element is 11 — matching the paper's final answer.
-    #[test]
-    fn figure_8_second_pair() {
-        let long = [13, 15, 18, 22];
-        let short = [1, 7, 11, 18];
-        let out = iu_execute(SetOpKind::Subtract, 1, &long, &[(0, &short)]);
-        let bv = &out.emissions[0].bitvec;
-        assert!(!bv.get(0) && !bv.get(1) && !bv.get(2) && bv.get(3));
+        iu_execute(SegmentSide::Short, &[13, 15, 18, 22], 8, &short, 0, &mut bv);
+        assert!(bv.get(0) && bv.get(1) && !bv.get(2) && bv.get(3));
     }
 
     #[test]
-    fn intersect_marks_long_side() {
-        let long = [2, 4, 6, 8];
-        let short = [4, 8, 10];
-        let out = iu_execute(SetOpKind::Intersect, 7, &long, &[(3, &short)]);
-        assert_eq!(out.emissions.len(), 1);
-        let e = &out.emissions[0];
-        assert_eq!(e.side, SegmentSide::Long);
-        assert_eq!(e.seg_idx, 7);
-        assert!(!e.bitvec.get(0) && e.bitvec.get(1) && !e.bitvec.get(2) && e.bitvec.get(3));
+    fn intersect_marks_long_side_at_its_base() {
+        let mut bv = bits(8);
+        iu_execute(
+            SegmentSide::Long,
+            &[2, 4, 6, 8],
+            4,
+            &[4, 8, 10],
+            12,
+            &mut bv,
+        );
+        assert_eq!(bv.words(), &[0b1010_0000]);
     }
 
     #[test]
-    fn anti_subtract_with_no_shorts_emits_zero_bitvec() {
-        let long = [1, 2, 3];
-        let out = iu_execute(SetOpKind::AntiSubtract, 0, &long, &[]);
-        assert_eq!(out.emissions[0].bitvec.count_ones(), 0);
-        assert_eq!(out.cycles, 3);
+    fn anti_subtract_with_no_shorts_marks_nothing() {
+        let mut bv = bits(3);
+        let cycles = iu_execute(SegmentSide::Long, &[1, 2, 3], 0, &[], 0, &mut bv);
+        assert_eq!((bv.count_ones(), cycles), (0, 3));
     }
 
     #[test]
     fn cycles_are_total_streamed_elements() {
-        let long = [1, 2, 3, 4];
-        let s1 = [1, 2];
-        let s2 = [3];
-        let out = iu_execute(SetOpKind::Subtract, 0, &long, &[(0, &s1), (1, &s2)]);
-        assert_eq!(out.cycles, 7);
+        let mut bv = bits(3);
+        let cycles = iu_execute(SegmentSide::Short, &[1, 2, 3, 4], 0, &[1, 2, 3], 0, &mut bv);
+        assert_eq!(cycles, 7);
+    }
+
+    #[test]
+    fn sides_follow_the_operation() {
+        assert_eq!(
+            SegmentSide::annotated_by(SetOpKind::Intersect),
+            SegmentSide::Long
+        );
+        assert_eq!(
+            SegmentSide::annotated_by(SetOpKind::AntiSubtract),
+            SegmentSide::Long
+        );
+        assert_eq!(
+            SegmentSide::annotated_by(SetOpKind::Subtract),
+            SegmentSide::Short
+        );
     }
 }

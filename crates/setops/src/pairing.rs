@@ -7,6 +7,8 @@
 //! paired with each long segment, and finally splits over-loaded long
 //! segments across multiple intersect units using a maximum-load threshold.
 
+// lint: hot-path(alloc)
+
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -30,7 +32,11 @@ impl Workload {
 }
 
 /// Complete output of one task-divider pass over a pair of head lists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Reusable: [`pair_into`] clears and refills the tables in place, so a
+/// long-lived `Pairing` stops allocating once it has seen its largest
+/// operands.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pairing {
     /// Per-long-segment load (number of paired short segments): the load
     /// table of Figure 7.
@@ -73,6 +79,28 @@ pub fn pair(
     kind: SetOpKind,
     max_load: usize,
 ) -> Pairing {
+    let mut pairing = Pairing::default();
+    pair_into(
+        &mut pairing,
+        long_heads,
+        short_heads,
+        short_lasts,
+        kind,
+        max_load,
+    );
+    pairing
+}
+
+/// [`pair`] into a caller-owned [`Pairing`] (overwritten): the
+/// allocation-free entry point the segmented pipeline's scratch uses.
+pub fn pair_into(
+    pairing: &mut Pairing,
+    long_heads: &[Elem],
+    short_heads: &[Elem],
+    short_lasts: &[Elem],
+    kind: SetOpKind,
+    max_load: usize,
+) {
     assert!(max_load > 0, "max_load must be positive");
     assert_eq!(
         short_heads.len(),
@@ -80,24 +108,29 @@ pub fn pair(
         "one last element per short segment"
     );
 
+    let Pairing {
+        load_table,
+        start_table,
+        workloads,
+        ..
+    } = pairing;
     let n_long = long_heads.len();
-    let n_short = short_heads.len();
-    let mut load_table = vec![0usize; n_long];
-    let mut start_table = vec![0usize; n_long];
+    load_table.clear();
+    load_table.resize(n_long, 0);
+    start_table.clear();
+    start_table.resize(n_long, 0);
     let mut unpaired_end = 0usize;
 
-    for i in 0..n_short {
+    for (i, (&head, &last)) in short_heads.iter().zip(short_lasts).enumerate() {
         // First long head strictly greater than the short segment's bounds.
-        let q = long_heads.partition_point(|&h| h <= short_lasts[i]);
+        let q = long_heads.partition_point(|&h| h <= last);
         if q == 0 {
             // The whole short segment lies before the first long segment.
             unpaired_end = i + 1;
             continue;
         }
-        let pos = long_heads.partition_point(|&h| h <= short_heads[i]);
-        let lo = pos.saturating_sub(1);
-        let hi = q - 1;
-        for j in lo..=hi {
+        let pos = long_heads.partition_point(|&h| h <= head);
+        for j in pos.saturating_sub(1)..q {
             if load_table[j] == 0 {
                 start_table[j] = i;
             }
@@ -105,9 +138,8 @@ pub fn pair(
         }
     }
 
-    let mut workloads = Vec::new();
-    for j in 0..n_long {
-        let load = load_table[j];
+    workloads.clear();
+    for (j, (&load, &start)) in load_table.iter().zip(start_table.iter()).enumerate() {
         if load == 0 {
             if kind == SetOpKind::AntiSubtract {
                 workloads.push(Workload {
@@ -117,7 +149,6 @@ pub fn pair(
             }
             continue;
         }
-        let start = start_table[j];
         let mut chunk_start = start;
         while chunk_start < start + load {
             let chunk_end = (chunk_start + max_load).min(start + load);
@@ -129,13 +160,8 @@ pub fn pair(
         }
     }
 
-    Pairing {
-        load_table,
-        start_table,
-        workloads,
-        unpaired_shorts: 0..unpaired_end,
-        divider_cycles: (n_short + n_long) as u64,
-    }
+    pairing.unpaired_shorts = 0..unpaired_end;
+    pairing.divider_cycles = (short_heads.len() + n_long) as u64;
 }
 
 #[cfg(test)]

@@ -67,6 +67,13 @@ cargo test -q
 echo "==> cargo test -q -p fingers-mining"
 cargo test -q -p fingers-mining
 
+# The simulator stack's unit tests (PE models, shared interpreter and
+# frames, memory substrate, IU pipeline incl. the in-place-vs-literal
+# reference proptest): the root package's integration tests only see
+# these crates from outside.
+echo "==> cargo test -q -p fingers-core -p fingers-flexminer -p fingers-sim -p fingers-setops"
+cargo test -q -p fingers-core -p fingers-flexminer -p fingers-sim -p fingers-setops
+
 # The stack benchmark's smoke: schema, metric names, units and count
 # correctness on every workload, <= 2 s each. It is a standalone package
 # calling only public functions (benchmark/README.md lists them), so this

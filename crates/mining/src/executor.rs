@@ -1,14 +1,15 @@
-//! Plan-driven DFS execution (the paper's Figure 2 as an interpreter).
+//! Plan-driven DFS execution (the paper's Figure 2, lowered for software).
 //!
-//! The interpreter is layered, replacing the seed's monolithic closure
-//! walker:
+//! The engine is layered, replacing the seed's monolithic closure walker:
 //!
 //! - [`PlanMiner`] — a reusable worker that executes [`MiningTask`]s (runs
-//!   of level-0 roots) against one compiled plan, materializing candidate
-//!   sets into a [`ScratchArena`] so steady-state mining never allocates
-//!   per embedding.
-//! - [`Sink`] — what happens at each match: [`CountSink`] counts leaf runs
-//!   in bulk, [`FnSink`] materializes embeddings for listing.
+//!   of level-0 roots) against one compiled plan. It lowers the plan once
+//!   into a per-level program — shared set-operation chains computed once,
+//!   CSR rows borrowed, bounds pushed into every level — and materializes
+//!   candidate sets into a [`ScratchArena`], so steady-state mining never
+//!   allocates per embedding.
+//! - [`Sink`] — what happens at each match: [`CountSink`] takes leaf runs
+//!   as totals, [`FnSink`] materializes embeddings for listing.
 //! - [`count_plan`] / [`list_plan`] / [`count_multi`] — thin sequential
 //!   wrappers over the engine, API-compatible with the seed.
 //! - [`crate::parallel`] — root-partitioned execution of the same engine
@@ -24,7 +25,7 @@ use crate::task::MiningTask;
 use fingers_graph::hubs::HubSet;
 use fingers_graph::{CsrGraph, VertexId};
 use fingers_pattern::benchmarks::Benchmark;
-use fingers_pattern::{ExecutionPlan, MultiPlan, PlanOp};
+use fingers_pattern::{ExecutionPlan, Induced, MultiPlan, PlanOp};
 use fingers_setops::adaptive::{select_count_tier_with, select_tier_with, KernelTier};
 use fingers_setops::bitmap::NeighborBitmap;
 use fingers_setops::{bitmap, bound, galloping, merge, simd, Elem, SetOpKind};
@@ -98,14 +99,24 @@ pub fn count_benchmark_with(
     count_multi_with(graph, &benchmark.plan(), config)
 }
 
-/// A reusable plan-execution worker: one graph, one compiled plan, and the
-/// scratch memory to run any number of [`MiningTask`]s against them.
+/// A reusable plan-execution worker: one graph, one compiled plan lowered
+/// to a per-level program, and the scratch memory to run any number of
+/// [`MiningTask`]s against them.
 ///
 /// Construction is cheap; the arena warms up during the first task and is
 /// reused across tasks, which is what makes one `PlanMiner` per parallel
 /// worker (rather than per task) the right shape. The same lifecycle holds
 /// for the worker's [`BitmapCache`]: hub bitmaps built during one task
 /// stay resident for later tasks and deeper DFS levels.
+///
+/// The plan is lowered once, at construction (DESIGN.md § "Executor
+/// lowering"): targets whose set-operation chains are identical through a
+/// level share one computation and one buffer, an `Init` borrows the CSR
+/// row instead of copying it, every materializing operation has the
+/// symmetry-breaking bound its targets already know pushed into both
+/// operands, a level returns as soon as one of its candidate sets is
+/// empty, and the mapped vertices that can reappear in a level's
+/// candidate set are listed statically.
 ///
 /// Every scheduled set operation dispatches adaptively across the four
 /// kernel tiers (merge / galloping / dense bitmap / SIMD block compare)
@@ -116,18 +127,17 @@ pub fn count_benchmark_with(
 /// For counting sinks ([`Sink::COUNTS_ONLY`]) with
 /// `EngineConfig::fuse_terminal_counts` on (the default), the action that
 /// would materialize the *leaf* candidate set instead dispatches a fused,
-/// bound-pushed count kernel ([`select_count_tier`]) — the leaf set is
-/// never written, and the symmetry-breaking bound trims both operands
-/// before the kernel runs. Totals are bit-identical with fusion on or off;
-/// listing sinks always take the materializing path.
+/// bound-pushed count kernel ([`select_count_tier_with`]) — the leaf set is
+/// never written. Totals are bit-identical with fusion on or off; listing
+/// sinks always take the materializing path.
 ///
 /// # Invariants
 ///
-/// The interpreter trusts two properties of compiler-produced plans, and
-/// panics (rather than silently miscounting) if handed a plan violating
-/// them: every level's candidate set is materialized by the previous
-/// level's actions, and every `Apply` refines a set already materialized
-/// at its own level. Both are structural guarantees of
+/// The lowering trusts two properties of compiler-produced plans, and
+/// panics at construction (rather than silently miscounting) if handed a
+/// plan violating them: every level's candidate set is materialized by
+/// the previous level's actions, and every `Apply` refines a set already
+/// materialized. Both are structural guarantees of
 /// `ExecutionPlan::compile*`; no user input can break them.
 ///
 /// # Example
@@ -150,20 +160,23 @@ pub fn count_benchmark_with(
 pub struct PlanMiner<'g, 'p> {
     graph: &'g CsrGraph,
     plan: &'p ExecutionPlan,
+    /// The plan lowered for this interpreter. Shared so the DFS can hold
+    /// it while mutating the rest of the miner.
+    program: Arc<Program>,
     arena: ScratchArena,
     mapped: Vec<VertexId>,
-    /// Materialized candidate sets, indexed by target level.
-    sets: Vec<Option<Vec<Elem>>>,
-    /// Per-level undo stacks `(target, previous set)`, reused across roots.
-    undo: Vec<Vec<(usize, Option<Vec<Elem>>)>>,
+    /// Candidate-set views, one slot per `(level written, target)`: a
+    /// level overwrites its own slots on every entry and deeper levels
+    /// only read them, so backtracking needs no undo log.
+    views: Vec<View>,
+    /// Buffers of the levels currently on the DFS stack, in the order
+    /// they were taken from the arena; a level returns its own on exit.
+    bufs: Vec<Vec<Elem>>,
     /// Vertices eligible for the dense-bitmap tier (`None` disables it).
     /// Shared across a mining call's workers; selection runs once.
     hubs: Option<Arc<HubSet>>,
     /// This worker's resident hub bitmaps.
     cache: BitmapCache,
-    /// Per-level symmetry-breaking bound sources, precomputed once per plan
-    /// so the per-embedding restriction check reduces to `mapped[]` reads.
-    bound_sources: Vec<BoundSource>,
     /// Whether terminal-counting levels run the fused count kernels
     /// (`EngineConfig::fuse_terminal_counts`; counting sinks only).
     fuse: bool,
@@ -194,14 +207,13 @@ pub enum RunHalt {
     },
 }
 
-/// Where a level's symmetry-breaking lower bound comes from — hoisted out
-/// of the per-embedding loop into a table built once per [`PlanMiner`].
+/// Where a symmetry-breaking lower bound comes from — resolved at lowering
+/// time so the per-embedding restriction check reduces to `mapped[]` reads.
 /// Most restricted levels have exactly one bound ancestor, so the common
-/// case resolves with a single indexed read instead of an iterator max
-/// over `schedule(level).lower_bounds`.
-#[derive(Debug, Clone)]
+/// case resolves with a single indexed read.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum BoundSource {
-    /// Unrestricted level: every candidate is eligible.
+    /// Unrestricted: every candidate is eligible.
     None,
     /// Bound is the vertex mapped at one ancestor level.
     Single(usize),
@@ -210,17 +222,25 @@ enum BoundSource {
 }
 
 impl BoundSource {
-    fn from_levels(levels: &[usize]) -> Self {
-        match levels {
+    /// The bound `target` gets from those of its restriction ancestors
+    /// that `keep` selects.
+    fn of(plan: &ExecutionPlan, target: usize, keep: impl Fn(usize) -> bool) -> Self {
+        let levels: Vec<usize> = plan
+            .schedule(target)
+            .lower_bounds
+            .iter()
+            .copied()
+            .filter(|&a| keep(a))
+            .collect(); // lint: allow-alloc(plan-lowering time, once per miner)
+        match levels.as_slice() {
             [] => BoundSource::None,
             [a] => BoundSource::Single(*a),
-            // lint: allow-alloc(plan-construction time, once per schedule level)
-            many => BoundSource::Max(many.to_vec()),
+            _ => BoundSource::Max(levels),
         }
     }
 
-    /// The level's effective lower bound for the current prefix (`None`
-    /// when unrestricted).
+    /// The effective lower bound for the current prefix (`None` when
+    /// unrestricted).
     #[inline]
     fn resolve(&self, mapped: &[VertexId]) -> Option<VertexId> {
         match self {
@@ -229,6 +249,305 @@ impl BoundSource {
             BoundSource::Max(list) => list.iter().map(|&a| mapped[a]).max(),
         }
     }
+}
+
+/// Where a candidate set's elements live: a CSR row borrowed as is, or one
+/// of the buffers on the miner's LIFO stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Store {
+    /// `N(vertex)`, read in place.
+    Adj(VertexId),
+    /// `bufs[index]`.
+    Buf(usize),
+}
+
+/// One target's candidate set as a value with a representation: the
+/// elements of `store` from `start` on. Targets that share a computation
+/// share the store and differ only in `start`.
+#[derive(Debug, Clone, Copy)]
+struct View {
+    store: Store,
+    start: usize,
+}
+
+/// A [`PlanOp`] with its target erased — what a group's members share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `:= N(u_level)`.
+    Init,
+    /// `:= N(u_level) − N(u_short)`.
+    InitAnti { short: usize },
+    /// `:= input op N(u_list)`.
+    Apply { list: usize, kind: SetOpKind },
+}
+
+impl From<&PlanOp> for Step {
+    fn from(op: &PlanOp) -> Self {
+        match *op {
+            PlanOp::Init { .. } => Step::Init,
+            PlanOp::InitAnti { short, .. } => Step::InitAnti { short },
+            PlanOp::Apply { list, kind, .. } => Step::Apply { list, kind },
+        }
+    }
+}
+
+/// One target of a [`Group`].
+#[derive(Debug)]
+struct Member {
+    /// Where this level publishes the target's view.
+    slot: usize,
+    /// The target's bound from the restriction ancestors matched so far.
+    bound: BoundSource,
+}
+
+/// Targets whose operation chains are identical through this level: the
+/// level's steps run once and every member gets a view of the one result
+/// (the paper's "identical set operations are computed once").
+#[derive(Debug)]
+struct Group {
+    /// Slot holding the set the first step refines (unread when that step
+    /// is an `Init`/`InitAnti`).
+    input: usize,
+    steps: Vec<Step>,
+    members: Vec<Member>,
+    /// The members' distinct bound sources; empty when any member is
+    /// unrestricted. Their minimum is the strongest bound that is safe to
+    /// push into the operands.
+    weakest: Vec<BoundSource>,
+}
+
+impl Group {
+    fn weakest_bound(&self, mapped: &[VertexId]) -> Option<VertexId> {
+        self.weakest.iter().filter_map(|b| b.resolve(mapped)).min()
+    }
+}
+
+/// Where one level's candidates are read from.
+#[derive(Debug)]
+struct Candidates {
+    /// Slot of the level's final view.
+    slot: usize,
+    /// Restriction ancestors matched after that view was published — the
+    /// bound the candidate loop still has to apply.
+    late: BoundSource,
+}
+
+/// Level `k−2` when it is nothing but the fused `Apply` on the leaf: level
+/// `k−3`'s candidate loop then counts each sibling directly.
+#[derive(Debug)]
+struct TightLeaf {
+    kind: SetOpKind,
+    list: usize,
+    /// Slot of the leaf view the `Apply` refines.
+    input: usize,
+    /// The leaf's bound from ancestors up to level `k−3` (loop invariant).
+    fixed: BoundSource,
+    /// Whether the sibling itself also bounds the leaf.
+    by_sibling: bool,
+}
+
+/// An [`ExecutionPlan`] lowered for the software executor.
+#[derive(Debug)]
+struct Program {
+    k: usize,
+    /// The groups of each level, in order of their first target.
+    levels: Vec<Vec<Group>>,
+    /// `candidates[level]`: where level `level + 1`'s candidates are read.
+    candidates: Vec<Candidates>,
+    /// `may_dup[j]`: ancestor levels whose mapped vertex can occur in
+    /// `S_j`. An ancestor is ruled out when it is pattern-adjacent to `j`
+    /// (`S_j ⊆ N(u_a)` and there are no self loops), when a restriction
+    /// puts `S_j` above it, or — vertex-induced only, where graph
+    /// adjacency among mapped vertices equals pattern adjacency — when
+    /// some other ancestor is adjacent to exactly one of the two.
+    may_dup: Vec<Vec<usize>>,
+    /// Whether level `k−2` consists of exactly the leaf's group.
+    fusable: bool,
+    tight: Option<TightLeaf>,
+}
+
+impl Program {
+    // Runs once per miner: every allocation below is construction-time.
+    fn lower(plan: &ExecutionPlan) -> Self {
+        let k = plan.pattern_size();
+        // Each target's ops so far, as `(level, step)`: targets with equal
+        // chains hold equal sets.
+        // lint: allow-alloc(plan-lowering time, once per miner)
+        let mut chains: Vec<Vec<(usize, Step)>> = vec![Vec::new(); k];
+        // Level of each target's latest view.
+        // lint: allow-alloc(plan-lowering time, once per miner)
+        let mut written: Vec<Option<usize>> = vec![None; k];
+        // lint: allow-alloc(plan-lowering time, once per miner)
+        let mut levels = Vec::with_capacity(k);
+        for level in 0..k {
+            for op in plan.actions_at(level) {
+                chains[op.target()].push((level, Step::from(op)));
+            }
+            // lint: allow-alloc(plan-lowering time, once per miner)
+            let mut groups: Vec<Group> = Vec::new();
+            for j in 0..k {
+                if chains[j].last().is_none_or(|&(l, _)| l != level) {
+                    continue;
+                }
+                let member = Member {
+                    slot: level * k + j,
+                    bound: BoundSource::of(plan, j, |a| a <= level),
+                };
+                let same_chain = |g: &&mut Group| chains[g.members[0].slot % k] == chains[j];
+                if let Some(group) = groups.iter_mut().find(same_chain) {
+                    group.members.push(member);
+                    continue;
+                }
+                let steps: Vec<Step> = chains[j]
+                    .iter()
+                    .filter(|&&(l, _)| l == level)
+                    .map(|&(_, step)| step)
+                    .collect(); // lint: allow-alloc(plan-lowering time, once per miner)
+
+                // §11: an `Apply` with nothing to refine is a plan-compiler
+                // bug that fingers-verify's use-before-init check rejects
+                // statically.
+                assert!(
+                    written[j].is_some() || !matches!(steps[0], Step::Apply { .. }),
+                    "Apply requires a materialized set"
+                );
+                groups.push(Group {
+                    input: written[j].map_or(0, |l| l * k + j),
+                    steps,
+                    members: vec![member], // lint: allow-alloc(plan-lowering time, once per miner)
+                    weakest: Vec::new(),   // lint: allow-alloc(plan-lowering time, once per miner)
+                });
+            }
+            for group in &mut groups {
+                for member in &group.members {
+                    written[member.slot % k] = Some(level);
+                    if !group.weakest.contains(&member.bound) {
+                        // lint: allow-alloc(plan-lowering time, once per miner)
+                        group.weakest.push(member.bound.clone());
+                    }
+                }
+                if group.weakest.contains(&BoundSource::None) {
+                    group.weakest.clear();
+                }
+            }
+            levels.push(groups);
+        }
+
+        let candidates = (1..k)
+            .map(|j| {
+                // §11: the compiler schedules every `S_j` to be final by
+                // level `j − 1`; fingers-verify proves it statically.
+                let at = written[j].unwrap_or(j);
+                assert!(at < j, "schedule materializes S_{j} by level {j}-1");
+                Candidates {
+                    slot: at * k + j,
+                    late: BoundSource::of(plan, j, |a| a > at),
+                }
+            })
+            .collect(); // lint: allow-alloc(plan-lowering time, once per miner)
+
+        let pattern = plan.pattern();
+        let may_dup = (0..k)
+            .map(|j| {
+                (0..j)
+                    .filter(|&a| {
+                        !pattern.are_adjacent(a, j)
+                            && !plan.schedule(j).lower_bounds.contains(&a)
+                            && (plan.induced() == Induced::Edge
+                                || (0..j).all(|b| {
+                                    b == a
+                                        || pattern.are_adjacent(a, b) == pattern.are_adjacent(j, b)
+                                }))
+                    })
+                    .collect() // lint: allow-alloc(plan-lowering time, once per miner)
+            })
+            .collect(); // lint: allow-alloc(plan-lowering time, once per miner)
+
+        // Compiled plans schedule nothing but leaf ops at level k−2;
+        // whatever else a raw plan puts there simply runs unfused.
+        let leaf_level = if k >= 2 {
+            levels[k - 2].as_slice()
+        } else {
+            &[]
+        };
+        let leaf_group = match leaf_level {
+            [g] if g.members.len() == 1 && g.members[0].slot % k == k - 1 => Some(g),
+            _ => None,
+        };
+        let fusable = leaf_group.is_some();
+        let tight = leaf_group
+            .filter(|_| k >= 3)
+            .and_then(|g| match *g.steps.as_slice() {
+                [Step::Apply { list, kind }] => Some(TightLeaf {
+                    kind,
+                    list,
+                    input: g.input,
+                    fixed: BoundSource::of(plan, k - 1, |a| a + 3 <= k),
+                    by_sibling: plan.schedule(k - 1).lower_bounds.contains(&(k - 2)),
+                }),
+                _ => None,
+            });
+        Self {
+            k,
+            levels,
+            candidates,
+            may_dup,
+            fusable,
+            tight,
+        }
+    }
+}
+
+/// The elements behind `store`.
+#[inline]
+fn stored<'a>(graph: &'a CsrGraph, bufs: &'a [Vec<Elem>], store: Store) -> &'a [Elem] {
+    match store {
+        Store::Adj(v) => graph.neighbors(v),
+        Store::Buf(i) => &bufs[i],
+    }
+}
+
+/// The kernel call `step` makes at `level` on the set in `input`:
+/// `(kind, short operand, long vertex)`. `None` for an `Init`, which only
+/// borrows its row.
+fn operands<'a>(
+    graph: &'a CsrGraph,
+    bufs: &'a [Vec<Elem>],
+    mapped: &[VertexId],
+    level: usize,
+    input: Store,
+    step: Step,
+) -> Option<(SetOpKind, &'a [Elem], VertexId)> {
+    match step {
+        Step::Init => None,
+        Step::InitAnti { short } => Some((
+            SetOpKind::AntiSubtract,
+            graph.neighbors(mapped[short]),
+            mapped[level],
+        )),
+        Step::Apply { list, kind } => Some((kind, stored(graph, bufs, input), mapped[list])),
+    }
+}
+
+/// How many embeddings the leaf run `run` completes: its length minus the
+/// mapped vertices in it, which only the levels in `may_dup` can be.
+fn leaf_run_count(run: &[Elem], mapped: &[VertexId], may_dup: &[usize]) -> u64 {
+    let in_run = |p: &VertexId| run.binary_search(p).is_ok();
+    let dup = may_dup.iter().filter(|&&a| in_run(&mapped[a])).count();
+    debug_assert_eq!(dup, mapped.iter().filter(|p| in_run(p)).count());
+    (run.len() - dup) as u64
+}
+
+/// Whether candidate `c` is already mapped, decided from the static list
+/// alone; debug builds check the list against the whole prefix.
+#[inline]
+fn is_mapped(mapped: &[VertexId], may_dup: &[usize], c: VertexId) -> bool {
+    let dup = may_dup.iter().any(|&a| mapped[a] == c);
+    debug_assert!(
+        dup || !mapped.contains(&c),
+        "may_dup {may_dup:?} misses a level of {mapped:?} holding {c}"
+    );
+    dup
 }
 
 impl<'g, 'p> PlanMiner<'g, 'p> {
@@ -267,28 +586,22 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
             assert!(report.is_sound(), "unsound execution plan:\n{report}");
         }
         let k = plan.pattern_size();
-        // Level 0 has no schedule (roots are unrestricted by construction).
-        let bound_sources = (0..k)
-            .map(|j| {
-                if j == 0 {
-                    BoundSource::None
-                } else {
-                    BoundSource::from_levels(&plan.schedule(j).lower_bounds)
-                }
-            })
-            .collect(); // lint: allow-alloc(one-time interpreter construction, not per embedding)
+        let unset = View {
+            store: Store::Adj(0),
+            start: 0,
+        };
         Self {
             graph,
             plan,
+            // lint: allow-alloc(one-time interpreter construction, not per embedding)
+            program: Arc::new(Program::lower(plan)),
             arena: ScratchArena::new(),
             // lint: allow-alloc(one-time interpreter construction, not per embedding)
             mapped: Vec::with_capacity(k),
-            sets: vec![None; k], // lint: allow-alloc(one-time interpreter construction, not per embedding)
-            // lint: allow-alloc(one-time interpreter construction, not per embedding)
-            undo: (0..k).map(|_| Vec::new()).collect(),
+            views: vec![unset; k * k], // lint: allow-alloc(one-time interpreter construction, not per embedding)
+            bufs: Vec::new(), // lint: allow-alloc(one-time interpreter construction, not per embedding)
             hubs,
             cache: BitmapCache::new(config.bitmap_cache_slots),
-            bound_sources,
             fuse: config.fuse_terminal_counts,
             simd: config.simd,
             governor: None,
@@ -319,8 +632,9 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
             }
             return;
         }
+        let program = Arc::clone(&self.program);
         for v in task.roots() {
-            self.enter(0, v, sink);
+            self.enter(&program, 0, v, sink);
         }
     }
 
@@ -380,12 +694,13 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
             }
             return Ok(());
         }
+        let program = Arc::clone(&self.program);
         for v in task.roots() {
             if cancel.is_cancelled() {
                 return Err(RunHalt::Cancelled);
             }
             self.poll_governor(sink.heap_bytes())?;
-            self.enter(0, v, sink);
+            self.enter(&program, 0, v, sink);
         }
         // Final publish so a completed task's full footprint is visible to
         // sibling workers' budget checks without waiting for this worker's
@@ -423,200 +738,257 @@ impl<'g, 'p> PlanMiner<'g, 'p> {
         &self.cache
     }
 
-    /// Matches `v` at `level`, runs the level's scheduled set ops, recurses.
-    fn enter<S: Sink>(&mut self, level: usize, v: VertexId, sink: &mut S) {
-        let k = self.plan.pattern_size();
-        let plan = self.plan;
+    /// Matches `v` at `level` and explores everything below it; the
+    /// level's buffers go back to the arena on the way out.
+    fn enter<S: Sink>(&mut self, program: &Program, level: usize, v: VertexId, sink: &mut S) {
         self.mapped.push(v);
-
-        let actions = plan.actions_at(level);
-        // Terminal-count fusion (DESIGN.md § count fusion & bound pushing):
-        // when the next level is the leaf and the sink only counts, this
-        // level's *finalizing* action on the leaf set — actions are
-        // target-ordered, so any op for S_{k−1} scheduled here comes last —
-        // runs as a fused count kernel instead of materializing. Earlier
-        // actions (including partial refinements of S_{k−1}) materialize as
-        // usual; if the leaf set was finalized at an earlier level there is
-        // no such action and the materializing leaf path below runs.
-        let fused = if S::COUNTS_ONLY && self.fuse && level + 2 == k {
-            actions
-                .split_last()
-                .filter(|(last, _)| last.target() + 1 == k)
-        } else {
-            None
-        };
-        let run_actions = fused.map_or(actions, |(_, rest)| rest);
-
-        // Run the compiled actions for this level, remembering what to undo.
-        // `undo[level]` is empty here: each invocation drains it before
-        // returning and recursion only touches deeper levels.
-        for op in run_actions {
-            let target = op.target();
-            let mut buf = self.arena.take();
-            self.evaluate_into(op, level, &mut buf);
-            let old = self.sets[target].take();
-            self.undo[level].push((target, old));
-            self.sets[target] = Some(buf);
-        }
-
-        if let Some((op, _)) = fused {
-            sink.leaf_count(self.count_terminal(op, level));
-        } else {
-            let next = level + 1;
-            if next < k {
-                // Iterate candidates for the next level. The compiler
-                // schedules every set `S_next` to be materialized by level
-                // `next − 1`, so a missing set here is a plan-compiler bug,
-                // not a data error.
-                // §11: see the comment above — fingers-verify proves this
-                // materialization statically before the engine runs.
-                #[allow(clippy::expect_used)]
-                let candidates = self.sets[next]
-                    .take()
-                    .expect("schedule materializes S_{next} by level next-1");
-                let start = self.candidate_start(next, &candidates);
-                if next + 1 == k {
-                    // Leaf: the whole remaining run extends `mapped`.
-                    sink.leaf_run(&mut self.mapped, &candidates[start..]);
-                } else {
-                    for &c in &candidates[start..] {
-                        if self.mapped.contains(&c) {
-                            continue; // embeddings map distinct vertices
-                        }
-                        self.enter(next, c, sink);
-                    }
-                }
-                self.sets[next] = Some(candidates);
-            }
-        }
-
-        while let Some((target, old)) = self.undo[level].pop() {
-            if let Some(fresh) = std::mem::replace(&mut self.sets[target], old) {
-                self.arena.recycle(fresh);
+        let base = self.bufs.len();
+        self.expand(program, level, sink);
+        while self.bufs.len() > base {
+            if let Some(buf) = self.bufs.pop() {
+                self.arena.recycle(buf);
             }
         }
         self.mapped.pop();
     }
 
-    /// First candidate index satisfying the level's symmetry-breaking lower
-    /// bounds (`u_level > u_a`), found by binary search on the sorted set.
-    fn candidate_start(&self, level: usize, candidates: &[Elem]) -> usize {
-        match self.bound_sources[level].resolve(&self.mapped) {
-            Some(b) => bound::lower_bound_start(candidates, b),
-            None => 0,
+    /// Runs `level`'s groups for the prefix in `mapped`, then walks the
+    /// next level's candidates.
+    fn expand<S: Sink>(&mut self, program: &Program, level: usize, sink: &mut S) {
+        let k = program.k;
+        let groups = &program.levels[level];
+        let counting = S::COUNTS_ONLY && self.fuse;
+        // Terminal-count fusion (DESIGN.md § count fusion & bound
+        // pushing): the step that would finalize the leaf set runs as a
+        // count kernel instead. Earlier steps of the same chain
+        // materialize as usual; a leaf set finalized at an earlier level
+        // has no step here and takes the candidate path below.
+        if counting && level + 2 == k && program.fusable {
+            let leaf = &groups[0];
+            if let Some((&last, rest)) = leaf.steps.split_last() {
+                let store = self.materialize(level, leaf, rest);
+                sink.leaf_count(self.count_step(program, level, leaf, last, store));
+                return;
+            }
+        }
+        for group in groups {
+            let store = self.materialize(level, group, &group.steps);
+            if !self.publish(group, store) {
+                // Some target's set is empty and sets only shrink after
+                // their Init, so no embedding extends this prefix.
+                return;
+            }
+        }
+
+        let next = level + 1;
+        let graph = self.graph;
+        let candidates = &program.candidates[level];
+        let view = self.views[candidates.slot];
+        let set = stored(graph, &self.bufs, view.store);
+        let start = view.start
+            + candidates
+                .late
+                .resolve(&self.mapped)
+                .map_or(0, |b| bound::lower_bound_start(&set[view.start..], b));
+        let end = set.len();
+        let may_dup = program.may_dup[next].as_slice();
+        if next + 1 == k {
+            // Leaf: every remaining candidate that is not already mapped
+            // completes one embedding.
+            let run = &set[start..];
+            if S::COUNTS_ONLY {
+                sink.leaf_count(leaf_run_count(run, &self.mapped, may_dup));
+            } else {
+                for &c in run {
+                    if is_mapped(&self.mapped, may_dup, c) {
+                        continue; // embeddings map distinct vertices
+                    }
+                    self.mapped.push(c);
+                    sink.embedding(&self.mapped);
+                    self.mapped.pop();
+                }
+            }
+        } else if let Some(tight) = program.tight.as_ref().filter(|_| counting && next + 2 == k) {
+            sink.leaf_count(self.count_siblings(program, tight, view.store, start, may_dup));
+        } else {
+            for i in start..end {
+                // Resolved again each time round: `enter` needs the whole
+                // miner, and deeper levels read (never write) this store.
+                let set = stored(graph, &self.bufs, view.store);
+                let c = set[i];
+                if let Some(&ahead) = set.get(i + 2) {
+                    simd::prefetch(graph.neighbors(ahead));
+                }
+                if is_mapped(&self.mapped, may_dup, c) {
+                    continue; // embeddings map distinct vertices
+                }
+                self.enter(program, next, c, sink);
+            }
         }
     }
 
-    /// Executes a terminal level's finalizing action as a count: the number
-    /// of embeddings the materializing path would have reported for this
-    /// prefix — `|result above bound| − |prefix ∩ result above bound|` —
-    /// with the restriction bound pushed into the operands and no output
-    /// written.
-    fn count_terminal(&mut self, op: &PlanOp, level: usize) -> u64 {
-        let leaf = self.plan.pattern_size() - 1;
-        let lower = self.bound_sources[leaf].resolve(&self.mapped);
-        let current = self.mapped[level];
-        match *op {
-            PlanOp::Init { .. } => {
-                // Leaf set = N(u_level) wholesale: no kernel needed, only
-                // the bound trim and prefix-duplicate exclusion.
-                let long = bound::trim(self.graph.neighbors(current), lower);
-                let dup = self
-                    .mapped
-                    .iter()
-                    .filter(|p| long.binary_search(p).is_ok())
-                    .count();
-                (long.len() - dup) as u64
-            }
-            PlanOp::InitAnti { short, .. } => count_dispatch(
-                self.graph,
+    /// Runs `steps` of `group` once for all its members and returns where
+    /// the result lives. Both operands of every kernel call are trimmed by
+    /// the weakest bound any member already knows, so what lies below that
+    /// bound in a buffer is unspecified — every reader trims by a bound at
+    /// least as strong (bounds only grow down the DFS).
+    fn materialize(&mut self, level: usize, group: &Group, steps: &[Step]) -> Store {
+        let graph = self.graph;
+        let lo = group.weakest_bound(&self.mapped);
+        let mut store = self.views[group.input].store;
+        for &step in steps {
+            let Some((kind, short, long_v)) =
+                operands(graph, &self.bufs, &self.mapped, level, store, step)
+            else {
+                store = Store::Adj(self.mapped[level]);
+                continue;
+            };
+            let mut out = self.arena.take();
+            kernel_dispatch(
+                graph,
                 self.hubs.as_deref(),
                 &mut self.cache,
-                SetOpKind::AntiSubtract,
-                self.graph.neighbors(self.mapped[short]),
-                current,
-                lower,
-                &self.mapped,
+                kind,
+                bound::trim(short, lo),
+                long_v,
+                bound::trim(graph.neighbors(long_v), lo),
+                &mut out,
                 self.simd,
-            ),
-            PlanOp::Apply { target, list, kind } => {
-                // §11: same materialized-set invariant as `evaluate_into`,
-                // proven statically by fingers-verify's use-before-init check.
-                #[allow(clippy::expect_used)]
-                let short = self.sets[target]
-                    .as_ref()
-                    .expect("Apply requires a materialized set");
-                count_dispatch(
-                    self.graph,
-                    self.hubs.as_deref(),
-                    &mut self.cache,
-                    kind,
-                    short,
-                    self.mapped[list],
-                    lower,
-                    &self.mapped,
-                    self.simd,
-                )
-            }
+            );
+            self.bufs.push(out);
+            store = Store::Buf(self.bufs.len() - 1);
         }
+        store
     }
 
-    /// Computes the new value of an op's target set into `out` (cleared).
-    fn evaluate_into(&mut self, op: &PlanOp, level: usize, out: &mut Vec<Elem>) {
-        let current = self.mapped[level];
-        match *op {
-            PlanOp::Init { .. } => {
-                out.clear();
-                out.extend_from_slice(self.graph.neighbors(current));
+    /// Gives every member of `group` its view of `store`: the elements
+    /// above the member's own bound, found by binary search — never
+    /// assumed from the operand trim, because the bitmap anti-subtract
+    /// emits its long side untrimmed. Returns `false` as soon as one view
+    /// is empty.
+    fn publish(&mut self, group: &Group, store: Store) -> bool {
+        let set = stored(self.graph, &self.bufs, store);
+        let mut last = (None, 0);
+        for member in &group.members {
+            let lower = member.bound.resolve(&self.mapped);
+            if lower != last.0 {
+                last = (lower, lower.map_or(0, |b| bound::lower_bound_start(set, b)));
             }
-            PlanOp::InitAnti { short, .. } => {
-                // N(u_level) − N(u_short): the postponed anti-subtraction.
-                let short_list = self.graph.neighbors(self.mapped[short]);
-                kernel_dispatch(
-                    self.graph,
-                    self.hubs.as_deref(),
-                    &mut self.cache,
-                    SetOpKind::AntiSubtract,
-                    short_list,
-                    current,
-                    out,
-                    self.simd,
-                );
+            if last.1 == set.len() {
+                return false;
             }
-            PlanOp::Apply { target, list, kind } => {
-                // §11: `Apply` only ever refines a set a previous op of this
-                // same level materialized; fingers-verify proves the action
-                // order statically. Absence is a compiler bug.
-                #[allow(clippy::expect_used)] // §11: justified above
-                let short = self.sets[target]
-                    .as_ref()
-                    .expect("Apply requires a materialized set");
-                kernel_dispatch(
-                    self.graph,
-                    self.hubs.as_deref(),
-                    &mut self.cache,
-                    kind,
-                    short,
-                    self.mapped[list],
-                    out,
-                    self.simd,
-                );
-            }
+            self.views[member.slot] = View {
+                store,
+                start: last.1,
+            };
         }
+        true
+    }
+
+    /// Executes the leaf's finalizing step as a count: the number of
+    /// embeddings the materializing path would have reported for this
+    /// prefix, with the restriction bound pushed into the operands and no
+    /// output written. `store` is what the step refines.
+    fn count_step(
+        &mut self,
+        program: &Program,
+        level: usize,
+        leaf: &Group,
+        step: Step,
+        store: Store,
+    ) -> u64 {
+        let graph = self.graph;
+        let lower = leaf.members[0].bound.resolve(&self.mapped);
+        let may_dup = program.may_dup[program.k - 1].as_slice();
+        let Some((kind, short, long_v)) =
+            operands(graph, &self.bufs, &self.mapped, level, store, step)
+        else {
+            // Leaf set = N(u_level) wholesale: no kernel needed, only the
+            // bound trim and prefix-duplicate exclusion.
+            let run = bound::trim(graph.neighbors(self.mapped[level]), lower);
+            return leaf_run_count(run, &self.mapped, may_dup);
+        };
+        count_dispatch(
+            graph,
+            self.hubs.as_deref(),
+            &mut self.cache,
+            kind,
+            short,
+            long_v,
+            lower,
+            &self.mapped,
+            may_dup,
+            self.simd,
+        )
+    }
+
+    /// Level `k−3`'s candidate loop when level `k−2` is only the fused
+    /// `Apply` on the leaf: counts every sibling's leaves without entering
+    /// the level, with the leaf view, the loop-invariant part of its bound
+    /// and both duplicate lists resolved once, and the row two siblings
+    /// ahead prefetched while this one is counted.
+    fn count_siblings(
+        &mut self,
+        program: &Program,
+        tight: &TightLeaf,
+        store: Store,
+        start: usize,
+        may_dup: &[usize],
+    ) -> u64 {
+        let graph = self.graph;
+        let siblings = &stored(graph, &self.bufs, store)[start..];
+        let leaf_view = self.views[tight.input];
+        let fixed = tight.fixed.resolve(&self.mapped);
+        let short = bound::trim(
+            &stored(graph, &self.bufs, leaf_view.store)[leaf_view.start..],
+            fixed,
+        );
+        let leaf_dup = program.may_dup[program.k - 1].as_slice();
+        let hubs = self.hubs.as_deref();
+        let mut total = 0;
+        for (i, &c) in siblings.iter().enumerate() {
+            if let Some(&ahead) = siblings.get(i + 2) {
+                simd::prefetch(graph.neighbors(ahead));
+            }
+            if is_mapped(&self.mapped, may_dup, c) {
+                continue; // embeddings map distinct vertices
+            }
+            let lower = if tight.by_sibling {
+                Some(fixed.map_or(c, |b| b.max(c)))
+            } else {
+                fixed
+            };
+            self.mapped.push(c);
+            total += count_dispatch(
+                graph,
+                hubs,
+                &mut self.cache,
+                tight.kind,
+                short,
+                self.mapped[tight.list],
+                lower,
+                &self.mapped,
+                leaf_dup,
+                self.simd,
+            );
+            self.mapped.pop();
+        }
+        total
     }
 }
 
 /// Four-tier adaptive kernel dispatch for one scheduled set operation
-/// whose long operand is the adjacency of `long_v`.
+/// whose long operand is `long`, the adjacency of `long_v` above the bound
+/// already pushed into `short`.
 ///
 /// Tier choice is delegated to [`select_tier_with`]: the dense-bitmap tier
 /// is a candidate only when `long_v` is a configured hub (its bitmap is
 /// then fetched or lazily built through the worker's cache); otherwise the
 /// merge/galloping crossover applies, with the SIMD block compare taking
 /// the merge's balanced region when `use_simd` (the `EngineConfig::simd`
-/// policy toggle) and the build/CPU probe both hold. All four tiers
-/// produce identical sorted outputs, so this function is a pure
-/// performance decision.
+/// policy toggle) and the build/CPU probe both hold. All four tiers agree
+/// on every element above the pushed bound; the bitmap anti-subtract also
+/// emits what `N(long_v)` holds below it, which callers cut off again.
 #[allow(clippy::too_many_arguments)]
 fn kernel_dispatch(
     graph: &CsrGraph,
@@ -625,10 +997,10 @@ fn kernel_dispatch(
     kind: SetOpKind,
     short: &[Elem],
     long_v: VertexId,
+    long: &[Elem],
     out: &mut Vec<Elem>,
     use_simd: bool,
 ) {
-    let long = graph.neighbors(long_v);
     let resident_words = hubs
         .filter(|h| h.contains(long_v))
         .map(|_| NeighborBitmap::words_for(graph.vertex_count()));
@@ -643,23 +1015,21 @@ fn kernel_dispatch(
     }
 }
 
-/// Fused count dispatch for a terminal level's finalizing set operation:
-/// returns how many embeddings the prefix `mapped` completes, without
+/// Fused count dispatch for the leaf's finalizing set operation: returns
+/// how many embeddings the prefix `mapped` completes, without
 /// materializing the leaf set.
 ///
-/// Bound pushing happens here: both operands are trimmed to elements
-/// strictly above `lower` *before* the kernel runs (the shared
-/// [`bound::trim`] convention), so restricted elements are never compared,
-/// unlike the materializing path which filters the finished set. Tier
-/// choice is delegated to [`select_count_tier_with`] — counting reduces
-/// every kind to intersect counting, so a resident bitmap always wins (no
-/// anti-subtract word-scan caveat), and the SIMD block compare counts the
-/// merge's balanced region via `movemask` popcounts when `use_simd` holds.
-/// The prefix-duplicate exclusion mirrors
-/// `CountSink::leaf_run`: each mapped vertex that would have appeared in
-/// the trimmed result is one overcount, checked by binary searches against
-/// the trimmed operands (valid because the vertex is itself above the
-/// bound).
+/// Both operands are trimmed to elements strictly above `lower` *before*
+/// the kernel runs (the shared [`bound::trim`] convention). Every kind
+/// reduces to `|short ∩ long|` plus operand-length arithmetic, and an
+/// intersection count is symmetric, so the list tiers always see the
+/// smaller operand first — the selector then gallops a 10-long row into an
+/// 800-long set instead of merging them. A resident bitmap of `long_v`
+/// still wins outright ([`select_count_tier_with`]).
+///
+/// Of the prefix only the levels in `may_dup` can occur in the result;
+/// each that does (it is above the bound and in the right operands) is one
+/// overcount.
 #[allow(clippy::too_many_arguments)]
 fn count_dispatch(
     graph: &CsrGraph,
@@ -670,37 +1040,42 @@ fn count_dispatch(
     long_v: VertexId,
     lower: Option<Elem>,
     mapped: &[VertexId],
+    may_dup: &[usize],
     use_simd: bool,
 ) -> u64 {
     let short = bound::trim(short_full, lower);
     let long = bound::trim(graph.neighbors(long_v), lower);
     let resident = hubs.is_some_and(|h| h.contains(long_v));
-    let n = match select_count_tier_with(kind, short.len(), long.len(), resident, use_simd) {
-        KernelTier::Bitmap => {
-            let bm = cache.get_or_build(graph, long_v);
-            bitmap::count(kind, short, bm, long.len())
-        }
-        KernelTier::Galloping => galloping::count(kind, short, long),
-        KernelTier::Merge => merge::count(kind, short, long),
-        // Operands are already bound-trimmed above, so the unbounded
-        // count form is the right one here (same as the other tiers).
-        KernelTier::Simd => simd::count(kind, short, long),
+    let (a, b) = if short.len() <= long.len() {
+        (short, long)
+    } else {
+        (long, short)
     };
-    let dup = mapped
-        .iter()
-        .filter(|&&p| {
-            lower.is_none_or(|b| p > b) && {
-                let in_short = short.binary_search(&p).is_ok();
-                let in_long = long.binary_search(&p).is_ok();
-                match kind {
-                    SetOpKind::Intersect => in_short && in_long,
-                    SetOpKind::Subtract => in_short && !in_long,
-                    SetOpKind::AntiSubtract => in_long && !in_short,
-                }
+    let both = match select_count_tier_with(kind, a.len(), b.len(), resident, use_simd) {
+        KernelTier::Bitmap => bitmap::intersect_count(short, cache.get_or_build(graph, long_v)),
+        KernelTier::Galloping => galloping::intersect_count(a, b),
+        KernelTier::Merge => merge::intersect_count(a, b),
+        KernelTier::Simd => simd::intersect_count(a, b),
+    };
+    let n = match kind {
+        SetOpKind::Intersect => both,
+        SetOpKind::Subtract => short.len() as u64 - both,
+        SetOpKind::AntiSubtract => long.len() as u64 - both,
+    };
+    let in_result = |p: VertexId| {
+        lower.is_none_or(|b| p > b) && {
+            let in_short = short.binary_search(&p).is_ok();
+            let in_long = long.binary_search(&p).is_ok();
+            match kind {
+                SetOpKind::Intersect => in_short && in_long,
+                SetOpKind::Subtract => in_short && !in_long,
+                SetOpKind::AntiSubtract => in_long && !in_short,
             }
-        })
-        .count() as u64;
-    n - dup
+        }
+    };
+    let dup = may_dup.iter().filter(|&&a| in_result(mapped[a])).count();
+    debug_assert_eq!(dup, mapped.iter().filter(|&&p| in_result(p)).count());
+    n - dup as u64
 }
 
 #[cfg(test)]
@@ -977,6 +1352,178 @@ mod tests {
             cache.hits() > 0,
             "a K8 clique run must reuse hub bitmaps across embeddings"
         );
+
+        // Shared chains share buffers: 5cl schedules ten ops (four Inits
+        // that borrow their row, six intersections of which three repeat
+        // another target's), so a run needs far fewer buffers than ops.
+        let plan = ExecutionPlan::compile(&Pattern::clique(5), Induced::Vertex);
+        let mut miner = PlanMiner::new(&g, &plan);
+        let mut sink = CountSink::default();
+        miner.run(MiningTask::all(&g), &mut sink);
+        assert_eq!(sink.count, choose(8, 5));
+        let ops: usize = (0..5).map(|l| plan.actions_at(l).len()).sum();
+        assert_eq!(ops, 10);
+        assert!(
+            miner.arena().fresh_buffers() <= 2,
+            "{} fresh buffers: one per materializing group (levels 1, 2)",
+            miner.arena().fresh_buffers()
+        );
+    }
+
+    fn lowered(p: &Pattern, induced: Induced) -> Program {
+        Program::lower(&ExecutionPlan::compile(p, induced))
+    }
+
+    /// `(members, steps)` of each group at `level`.
+    fn shape(program: &Program, level: usize) -> Vec<(usize, usize)> {
+        program.levels[level]
+            .iter()
+            .map(|g| (g.members.len(), g.steps.len()))
+            .collect()
+    }
+
+    #[test]
+    fn identical_chains_form_one_group() {
+        // 4cl level 1: S2 and S3 are both N(u0) ∩ N(u1).
+        let cl4 = lowered(&Pattern::clique(4), Induced::Vertex);
+        assert_eq!(shape(&cl4, 0), [(3, 1)]);
+        assert_eq!(shape(&cl4, 1), [(2, 1)]);
+        assert_eq!(shape(&cl4, 2), [(1, 1)]);
+        // tt level 1: S2 = S2 ∩ N(u1) but S3 = S3 − N(u1).
+        let tt = lowered(&Pattern::tailed_triangle(), Induced::Vertex);
+        assert_eq!(shape(&tt, 0), [(3, 1)]);
+        assert_eq!(shape(&tt, 1), [(1, 1), (1, 1)]);
+        // cyc level 1: S2 = N(u1) − N(u0), S3 = S3 − N(u1).
+        let cyc = lowered(&Pattern::four_cycle(), Induced::Vertex);
+        assert_eq!(shape(&cyc, 0), [(2, 1)]);
+        assert_eq!(shape(&cyc, 1), [(1, 1), (1, 1)]);
+        // The seven benchmarks all end in a lone fused Apply.
+        for b in Benchmark::ALL {
+            for plan in b.plan().plans() {
+                assert!(Program::lower(plan).tight.is_some(), "{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn static_duplicate_lists() {
+        // Cliques: every ancestor is adjacent. tt: u1 and u2 are told apart
+        // from u3 by each other. Vertex-induced wedge: u1 < u2.
+        for p in [
+            Pattern::clique(5),
+            Pattern::tailed_triangle(),
+            Pattern::wedge(),
+        ] {
+            let program = lowered(&p, Induced::Vertex);
+            assert!(program.may_dup.iter().all(Vec::is_empty), "{p}");
+        }
+        // Diamond: u3 ∈ N(u0) ∩ N(u1) − N(u2) and so is u2 itself, but the
+        // restriction u2 < u3 rules it out.
+        let dia = lowered(&Pattern::diamond(), Induced::Vertex);
+        assert!(dia.may_dup.iter().all(Vec::is_empty));
+        // 4-path, compiled centre first (u2 - u0 - u1 - u3). Vertex-induced
+        // S2 = N(u0) − N(u1) holds u1 itself: it is in N(u0), and nothing
+        // tells it apart from u2. S3 = N(u1) − N(u0) − N(u2) cannot hold u0
+        // or u1 (adjacent) nor u2 (u0 neighbours u2 but must not u3).
+        let path = Pattern::from_edges_named(4, &[(0, 1), (1, 2), (2, 3)], "path4");
+        let vertex = lowered(&path, Induced::Vertex);
+        assert_eq!(vertex.may_dup, [vec![], vec![], vec![1], vec![]]);
+        // Edge-induced S3 = N(u1) may also hold u0 and u2: extra edges
+        // among mapped vertices are allowed.
+        let edge = lowered(&path, Induced::Edge);
+        assert_eq!(edge.may_dup, [vec![], vec![], vec![1], vec![0, 2]]);
+    }
+
+    #[test]
+    fn pushed_bound_is_the_weakest_of_the_members() {
+        let group = |weakest| Group {
+            input: 0,
+            steps: vec![Step::Init],
+            members: Vec::new(),
+            weakest,
+        };
+        let mapped = [9, 1, 4];
+        let both = group(vec![BoundSource::Single(0), BoundSource::Max(vec![1, 2])]);
+        assert_eq!(both.weakest_bound(&mapped), Some(4));
+        assert_eq!(group(Vec::new()).weakest_bound(&mapped), None);
+        // Lowering leaves the list empty as soon as one member is free
+        // (gem level 1: S2 is bounded by u1, S3 is not).
+        let gem = lowered(&Pattern::gem(), Induced::Vertex);
+        let shared = &gem.levels[1][0];
+        assert_eq!(shared.members.len(), 2);
+        assert_ne!(shared.members[0].bound, shared.members[1].bound);
+        assert!(shared.weakest.is_empty());
+        // ... and keeps the common source when all agree (4cl level 1).
+        let cl4 = lowered(&Pattern::clique(4), Induced::Vertex);
+        assert_eq!(cl4.levels[1][0].weakest, [BoundSource::Max(vec![0, 1])]);
+    }
+
+    /// The plan shapes the seven benchmarks lack, each present in at least
+    /// one pattern of `tests/lowering.rs`'s named list.
+    #[test]
+    fn named_patterns_cover_the_rare_shapes() {
+        // A leaf set final before level k−2, bounded by a later level.
+        let star = lowered(&Pattern::star(3), Induced::Edge);
+        assert!(star.levels[2].is_empty() && !star.fusable);
+        assert_ne!(star.candidates[2].late, BoundSource::None);
+        // InitAnti followed by Subtract within one level (5-path) and
+        // across levels (house).
+        let path = lowered(&Pattern::path(5), Induced::Vertex);
+        assert!(path.levels.iter().flatten().any(|g| matches!(
+            g.steps.as_slice(),
+            [Step::InitAnti { .. }, Step::Apply { .. }]
+        )));
+        let house = lowered(&Pattern::house(), Induced::Vertex);
+        assert_eq!(house.levels[1][1].steps, [Step::InitAnti { short: 0 }]);
+        assert_eq!(house.levels[2][0].input, house.levels[1][1].members[0].slot);
+        // A materializing group whose members know different bounds.
+        let gem = lowered(&Pattern::gem(), Induced::Vertex);
+        assert!(gem.levels.iter().flatten().any(|g| {
+            g.steps.iter().any(|s| *s != Step::Init)
+                && g.members.windows(2).any(|m| m[0].bound != m[1].bound)
+        }));
+    }
+
+    #[test]
+    fn empty_candidate_set_ends_the_level() {
+        // A star has no triangles, so tt's S2 = N(u0) ∩ N(u1) is always
+        // empty and S3 = N(u0) − N(u1), scheduled after it, never runs.
+        let g = GraphBuilder::new()
+            .edges((1..=12).map(|leaf| (0, leaf)))
+            .build();
+        let plan = ExecutionPlan::compile(&Pattern::tailed_triangle(), Induced::Vertex);
+        let mut miner = PlanMiner::new(&g, &plan);
+        let mut sink = CountSink::default();
+        miner.run(MiningTask::all(&g), &mut sink);
+        assert_eq!(sink.count, 0);
+        assert_eq!(miner.arena().fresh_buffers(), 1);
+    }
+
+    #[test]
+    fn counts_probe_the_smaller_operand_into_the_larger() {
+        // Vertex 0 has a 10-long row; the set it refines is 800 long.
+        let g = GraphBuilder::new()
+            .edges((1..=10u32).map(|i| (0, 75 * i)))
+            .build();
+        let long = g.neighbors(0);
+        let short: Vec<Elem> = (1..=800).collect();
+        assert_eq!(
+            select_count_tier_with(SetOpKind::Intersect, long.len(), short.len(), false, true),
+            KernelTier::Galloping
+        );
+        let mut cache = BitmapCache::new(1);
+        for kind in [
+            SetOpKind::Intersect,
+            SetOpKind::Subtract,
+            SetOpKind::AntiSubtract,
+        ] {
+            for lower in [None, Some(300)] {
+                let got =
+                    count_dispatch(&g, None, &mut cache, kind, &short, 0, lower, &[], &[], true);
+                let want = merge::count_bounded(kind, &short, long, lower);
+                assert_eq!(got, want, "{kind:?} above {lower:?}");
+            }
+        }
     }
 
     #[test]

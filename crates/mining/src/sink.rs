@@ -3,58 +3,41 @@
 //! The seed executor threaded a `FnMut(&[VertexId])` closure through the
 //! DFS, which forced every consumer — counting included — to materialize
 //! each embedding. [`Sink`] generalizes that: listing sinks still see every
-//! embedding, while counting sinks override [`Sink::leaf_run`] to consume a
-//! whole leaf-level candidate run in `O(k log n)` instead of `O(n)`,
-//! without the engine ever branching on the consumer type.
+//! embedding, while counting sinks set [`Sink::COUNTS_ONLY`] and receive a
+//! whole leaf-level candidate run as one [`Sink::leaf_count`] — the engine
+//! subtracts the few already-mapped vertices the pattern allows there, or
+//! never materializes the run at all.
 
 use fingers_graph::VertexId;
 
 /// Consumer of the embeddings produced by the plan interpreter.
 ///
 /// The engine calls [`embedding`](Self::embedding) once per match with all
-/// `k` mapped vertices in level order, except at complete leaf runs where
-/// it calls [`leaf_run`](Self::leaf_run) once with the remaining candidate
-/// slice (the default implementation materializes each embedding, so
-/// implementors only override it as an optimization — never for
-/// correctness).
+/// `k` mapped vertices in level order — unless the sink declares
+/// [`COUNTS_ONLY`](Self::COUNTS_ONLY), in which case leaf levels arrive as
+/// [`leaf_count`](Self::leaf_count) totals instead.
 pub trait Sink {
     /// `true` when this sink only ever needs embedding *counts*, never the
-    /// mapped vertices. The engine uses this (together with
-    /// `EngineConfig::fuse_terminal_counts`) to route terminal plan levels
+    /// mapped vertices. The engine then reports leaf levels through
+    /// [`leaf_count`](Self::leaf_count) and (together with
+    /// `EngineConfig::fuse_terminal_counts`) routes terminal plan levels
     /// through fused count kernels that skip materializing the leaf
     /// candidate set entirely; reported totals are bit-identical either
     /// way. The default `false` keeps listing sinks on the materializing
-    /// path byte for byte.
+    /// path: every embedding, in DFS order.
     const COUNTS_ONLY: bool = false;
 
     /// One complete embedding; `mapped[i]` is the vertex matched to pattern
     /// vertex `u_i`.
     fn embedding(&mut self, mapped: &[VertexId]);
 
-    /// A fused leaf report: `n` embeddings completed whose leaf vertices
-    /// were counted by a kernel without ever being materialized. Only
-    /// called when [`COUNTS_ONLY`](Self::COUNTS_ONLY) is `true`, so the
-    /// default ignores the report (a listing sink never receives one).
+    /// A leaf report: `n` embeddings completed whose leaf vertices were
+    /// counted — by a fused kernel, or as the length of a candidate run —
+    /// without being reported one by one. Only called when
+    /// [`COUNTS_ONLY`](Self::COUNTS_ONLY) is `true`, so the default ignores
+    /// the report (a listing sink never receives one).
     fn leaf_count(&mut self, n: u64) {
         let _ = n;
-    }
-
-    /// A complete leaf-level run: every element of `candidates` (a sorted
-    /// set, possibly still containing vertices already in `prefix`) that is
-    /// not in `prefix` extends `prefix` to one embedding.
-    ///
-    /// The default filters and reports each embedding through
-    /// [`embedding`](Self::embedding); counting sinks override this to add
-    /// `|candidates| − |candidates ∩ prefix|` directly.
-    fn leaf_run(&mut self, prefix: &mut Vec<VertexId>, candidates: &[VertexId]) {
-        for &c in candidates {
-            if prefix.contains(&c) {
-                continue; // embeddings map distinct vertices
-            }
-            prefix.push(c);
-            self.embedding(prefix);
-            prefix.pop();
-        }
     }
 
     /// Heap bytes this sink currently retains, for the memory governor's
@@ -67,11 +50,8 @@ pub trait Sink {
     }
 }
 
-/// Counts embeddings without materializing them.
-///
-/// Its [`Sink::leaf_run`] override is the engine's main algorithmic win
-/// over the seed executor: a leaf run of `n` candidates costs `k` binary
-/// searches instead of `n` scans.
+/// Counts embeddings without materializing them: a leaf run of `n`
+/// candidates arrives as one [`Sink::leaf_count`], not `n` embeddings.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountSink {
     /// Embeddings seen so far.
@@ -87,16 +67,6 @@ impl Sink for CountSink {
 
     fn leaf_count(&mut self, n: u64) {
         self.count += n;
-    }
-
-    fn leaf_run(&mut self, prefix: &mut Vec<VertexId>, candidates: &[VertexId]) {
-        // `candidates` is a sorted set and `prefix` holds distinct vertices,
-        // so each binary search hit is a distinct duplicate to exclude.
-        let dup = prefix
-            .iter()
-            .filter(|p| candidates.binary_search(p).is_ok())
-            .count();
-        self.count += (candidates.len() - dup) as u64;
     }
 }
 
@@ -156,34 +126,5 @@ impl Sink for ListSink {
 
     fn heap_bytes(&self) -> u64 {
         (self.flat.capacity() * std::mem::size_of::<VertexId>()) as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn count_sink_leaf_run_excludes_prefix_vertices() {
-        let mut sink = CountSink::default();
-        let mut prefix = vec![3, 7];
-        sink.leaf_run(&mut prefix, &[1, 3, 5, 7, 9]);
-        assert_eq!(sink.count, 3);
-        assert_eq!(prefix, vec![3, 7], "prefix must be restored");
-    }
-
-    #[test]
-    fn default_leaf_run_matches_count_override() {
-        let mut counting = CountSink::default();
-        let mut listed = Vec::new();
-        let mut listing = FnSink::new(|e: &[VertexId]| listed.push(e.to_vec()));
-        let candidates = [0, 2, 4, 6, 8];
-        let mut prefix = vec![4, 1];
-        counting.leaf_run(&mut prefix.clone(), &candidates);
-        listing.leaf_run(&mut prefix, &candidates);
-        assert_eq!(counting.count as usize, listed.len());
-        for e in &listed {
-            assert_eq!(&e[..2], &[4, 1]);
-        }
     }
 }

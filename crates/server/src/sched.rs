@@ -982,12 +982,30 @@ mod tests {
                 CancelToken::with_deadline(Duration::from_secs(600)),
             ))
             .expect("near victim admitted");
-        // Memory pressure arrives while they wait; finish the plug so the
-        // worker returns to the queue and sheds.
+        // The worker must have taken the plug off the queue before the
+        // pressure arrives, or the plug is shed along with its victims.
+        let queued = || {
+            // lock: queue
+            let state = sched.core.queue.lock();
+            state
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .items
+                .len()
+        };
+        let patience = std::time::Instant::now() + Duration::from_secs(30);
+        while queued() > 2 {
+            assert!(
+                std::time::Instant::now() < patience,
+                "the lone worker never dequeued the plug"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Memory pressure arrives while the victims wait; finish the plug
+        // so the worker returns to the queue and sheds.
         sched.gauge().charge(999);
         plug_token.cancel();
         let plug_err = plug_rx.recv().expect("plug reply").expect_err("cancelled");
-        assert!(plug_err.cancel_kind().is_some());
+        assert!(plug_err.cancel_kind().is_some(), "{plug_err}");
         let near_err = near.recv().expect("near reply").expect_err("shed");
         assert!(
             matches!(near_err, JobError::Shed { retry_after_ms: 50 }),

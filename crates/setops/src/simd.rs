@@ -170,6 +170,30 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     and_popcount_scalar(a, b)
 }
 
+/// Hints the cache hierarchy that `list` is about to be streamed, so a DFS
+/// can overlap the next sibling's neighbour-list fetch with the current
+/// sibling's compute (the software form of the paper's pseudo-DFS
+/// overlap). Touches the first line and, for lists that span more than
+/// one, the last. Purely a hint: results never depend on it, and it is a
+/// no-op without the `simd` feature or off x86_64.
+#[inline]
+pub fn prefetch(list: &[Elem]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let (Some(first), Some(last)) = (list.first(), list.last()) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: prefetch is architecturally a hint — it never faults,
+        // reads or writes memory visibly, whatever the address — and both
+        // addresses come from live references into `list` anyway. It is
+        // part of SSE, which every x86_64 CPU has, so no probe is needed.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(first).cast::<i8>());
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(last).cast::<i8>());
+        }
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let _ = list;
+}
+
 fn and_popcount_scalar(a: &[u64], b: &[u64]) -> u64 {
     a.iter()
         .zip(b.iter())

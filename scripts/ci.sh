@@ -58,21 +58,13 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-# The whole mining crate under the default parallel test runner (the
-# chaos plan is process-global; every engine run of the fault-injection
-# suite holds its lock, so no --test-threads=1 is needed).
-echo "==> cargo test -q -p fingers-mining"
-cargo test -q -p fingers-mining
-
-# The simulator stack's unit tests (PE models, shared interpreter and
-# frames, memory substrate, IU pipeline incl. the in-place-vs-literal
-# reference proptest): the root package's integration tests only see
-# these crates from outside.
-echo "==> cargo test -q -p fingers-core -p fingers-flexminer -p fingers-sim -p fingers-setops"
-cargo test -q -p fingers-core -p fingers-flexminer -p fingers-sim -p fingers-setops
+# Every default-feature test target of the workspace — the root package's
+# integration tests (tier-1) plus each crate's unit and integration
+# tests — under the default parallel runner. (The chaos plan is
+# process-global; every engine run of the mining fault-injection suite
+# holds its lock, so no --test-threads=1 is needed.)
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # The stack benchmark's smoke: schema, metric names, units and count
 # correctness on every workload, <= 2 s each. It is a standalone package
